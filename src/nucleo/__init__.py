@@ -31,11 +31,9 @@ from .coalitions import (
     ExcessRecord,
     NonIntegerWeights,
     ProfileCoalition,
-    TooManyPlayers,
     all_profiles,
     excess,
     is_minimal_winning_profile,
-    max_excess_coalition,
     minimal_winning_coalitions,
     minimal_winning_count_vectors,
     minimal_winning_profiles,

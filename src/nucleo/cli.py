@@ -2,8 +2,10 @@
 
 Games are given inline ("8; 6 4 3 2") or as a path to a game file; both use
 the same grammar, including percentage quotas and run-length weights.  Exit
-codes: 0 success, 2 input error, 3 enumeration/resource limit.  JSON output
-is canonical (sorted keys, two-space indent) and reparses byte-identically.
+codes: 0 success, 2 input error, 3 enumeration/resource limit, 4 internal
+invariant failure (a solver or identity check that must never fail did).
+JSON output is canonical (sorted keys, two-space indent) and reparses
+byte-identically.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .coalitions import EnumerationLimit, TooManyPlayers
-from .gameio import ParseError, format_game, parse_game
+from .coalitions import EnumerationLimit
+from .exactlp import SolverInternalError
+from .gameio import format_game, parse_game
 from .games import GameError, Representation
-from .nucleolus import DEFAULT_MAX_BRUTE_PLAYERS, NoImputation, nucleolus
+from .linalg import InconsistentSystem
+from .nucleolus import DEFAULT_MAX_BRUTE_PLAYERS, SolverError, nucleolus
 from .theory import (
     DegenerateQuota,
+    IdentityViolation,
     coincidence_report,
     distance_bound,
     gap_report,
@@ -41,6 +46,7 @@ from .experiments import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 def _approx(value: Fraction) -> str:
@@ -301,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("auto", "brute", "typed"), default="auto")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized families (reserved)")
     p.set_defaults(func=cmd_experiment)
     return parser
 
@@ -312,12 +316,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, GameError, NoImputation, ValueError) as exc:
-        if isinstance(exc, (EnumerationLimit, TooManyPlayers)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_LIMIT
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except EnumerationLimit as exc:
+        code, message = EXIT_LIMIT, str(exc)
+    except ValueError as exc:  # every GameError, ParseError and NoImputation
+        code, message = EXIT_INPUT, str(exc)
+    except (SolverError, SolverInternalError, IdentityViolation,
+            InconsistentSystem) as exc:
+        code, message = EXIT_INTERNAL, f"internal invariant failed: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,17 +1,18 @@
 """Coalition enumeration, excesses, minimal winning coalitions, and the
-maximum-excess separation oracle.
+min-cost selection engine behind the nucleolus solver's separation oracle.
 
-The oracle answers "which coalition has the largest excess at payoff x,
-excluding a given collection of coalitions" without enumerating all 2^n
-subsets: over winning coalitions the maximum excess is 1 minus the cost of
-a cheapest winning coalition, found by a bounded-knapsack dynamic program
-over integer total weight; excluded coalitions are handled by partitioning
-the search space around each excluded solution and re-running the DP on
-each part, so candidates come out in ascending cost order.
+``min_cost_selection`` finds a cheapest selection of items, each taken
+between zero and its count, whose total weight lies in a window, without
+enumerating all selections: a bounded-knapsack dynamic program over integer
+total weight gives the optimum, and rejected candidates are handled by
+partitioning the count box around each one and re-running the DP on each
+part, so candidates come out in ascending cost order.  Over winning
+coalitions the maximum excess is 1 minus the cost of a cheapest winning
+selection, and over losing ones minus the cost of a cheapest losing one.
 
-Players with equal weight and equal payoff are interchangeable for the DP,
-so the item system groups them; for the 900-player showcase game this
-collapses to three items.
+What an item is belongs to the caller: the solver's ``_ItemSpace`` (in
+``nucleolus``) uses one item per player, or one per weight type, so the
+900-player showcase game has three items.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from typing import Callable, Iterable, Sequence
 from .games import GameError, Representation
 
 DEFAULT_ENUMERATION_LIMIT = 20
-
-
-class TooManyPlayers(GameError):
-    pass
 
 
 class EnumerationLimit(GameError):
@@ -138,7 +135,6 @@ def all_profiles(rep: Representation, cap: int = 2_000_000) -> list[ProfileCoali
 class ExcessRecord:
     excess: Fraction
     coalition: frozenset[int]
-    profile: ProfileCoalition | None = None
 
 
 def ordered_excess_vector(rep: Representation, x: Sequence,
@@ -146,7 +142,7 @@ def ordered_excess_vector(rep: Representation, x: Sequence,
     """Excesses of all 2^n coalitions, weakly decreasing; ties break by
     coalition bitmask ascending (bit i of the mask is input player i)."""
     if rep.n > limit:
-        raise TooManyPlayers(f"{rep.n} players exceeds enumeration limit {limit}")
+        raise EnumerationLimit(f"{rep.n} players exceeds enumeration limit {limit}")
     xs = [Fraction(v) for v in x]
     if len(xs) != rep.n:
         raise DimensionMismatch(f"payoff vector has length {len(xs)}, game has {rep.n} players")
@@ -201,7 +197,7 @@ def minimal_winning_coalitions(rep: Representation,
     removing any member leaves at least as little weight as that.
     """
     if rep.n > limit:
-        raise TooManyPlayers(f"{rep.n} players exceeds enumeration limit {limit}")
+        raise EnumerationLimit(f"{rep.n} players exceeds enumeration limit {limit}")
     weights = rep.original_weights
     wdenom = 1
     for w in weights:
@@ -311,6 +307,7 @@ def reachable_weights(weights: Sequence[int], counts: Sequence[int]) -> int:
 
 
 _INF = None
+_MAX_POPS = 400  # rejected candidates before min_cost_selection stalls
 
 
 def _convolve(old: list, omega: int, lo: int, hi: int, cost: int, top: int) -> list:
@@ -343,13 +340,12 @@ def _box_min_cost(weights: Sequence[int], los: Sequence[int], his: Sequence[int]
     [wlo, whi]; ties resolved toward the lexicographically smallest count
     vector.  Returns (cost, counts) or None."""
     t = len(weights)
-    whi_local = whi
-    dp: list[list] = [[_INF] * (whi_local + 1) for _ in range(t + 1)]
+    dp: list[list] = [[_INF] * (whi + 1) for _ in range(t + 1)]
     dp[t][0] = 0
     for k in reversed(range(t)):
-        dp[k] = _convolve(dp[k + 1], weights[k], los[k], his[k], costs[k], whi_local)
+        dp[k] = _convolve(dp[k + 1], weights[k], los[k], his[k], costs[k], whi)
     best = _INF
-    for w in range(max(wlo, 0), whi_local + 1):
+    for w in range(max(wlo, 0), whi + 1):
         v = dp[0][w]
         if v is not _INF and (best is _INF or v < best):
             best = v
@@ -364,13 +360,13 @@ def _box_min_cost(weights: Sequence[int], los: Sequence[int], his: Sequence[int]
         chosen = None
         for j in range(los[k], his[k] + 1):
             w_used = acc_w + j * weights[k]
-            if w_used > whi_local:
+            if w_used > whi:
                 break
             target = best - acc_c - j * costs[k]
             if target < 0 and costs[k] > 0:
                 break
             lo_need = max(wlo - w_used, 0)
-            hi_need = whi_local - w_used
+            hi_need = whi - w_used
             found = False
             for w in range(lo_need, hi_need + 1):
                 if arr[w] is not _INF and arr[w] == target:
@@ -389,16 +385,14 @@ def _box_min_cost(weights: Sequence[int], los: Sequence[int], his: Sequence[int]
 
 def min_cost_selection(weights: Sequence[int], counts: Sequence[int], costs: Sequence[int],
                        wlo: int, whi: int,
-                       exclude: frozenset[tuple[int, ...]] = frozenset(),
-                       accept: Callable[[tuple[int, ...]], bool] | None = None,
-                       max_pops: int = 400):
+                       accept: Callable[[tuple[int, ...]], bool]):
     """Cheapest acceptable selection with total weight in [wlo, whi].
 
-    ``exclude`` lists count vectors that must not be returned; ``accept`` is
-    an extra filter.  Candidates are generated in ascending (cost, counts)
-    order by partitioning the count box around each rejected solution, so
-    the first acceptable candidate is optimal.  Raises ``OracleStall`` after
-    ``max_pops`` rejected candidates.
+    ``accept`` filters the count vectors that may be returned.  Candidates
+    are generated in ascending (cost, counts) order by partitioning the
+    count box around each rejected solution, so the first acceptable
+    candidate is optimal.  Raises ``OracleStall`` after ``_MAX_POPS``
+    rejected candidates.
     """
     t = len(weights)
     init = _box_min_cost(weights, [0] * t, [int(c) for c in counts], costs, wlo, whi)
@@ -409,11 +403,11 @@ def min_cost_selection(weights: Sequence[int], counts: Sequence[int], costs: Seq
     pops = 0
     while heap:
         cost, prof, los, his = heapq.heappop(heap)
-        if prof not in exclude and (accept is None or accept(prof)):
+        if accept(prof):
             return cost, prof
         pops += 1
-        if pops > max_pops:
-            raise OracleStall(f"exceeded {max_pops} rejected candidates")
+        if pops > _MAX_POPS:
+            raise OracleStall(f"exceeded {_MAX_POPS} rejected candidates")
         for k in range(t):
             for new_lo, new_hi in (
                 (los[k], prof[k] - 1),
@@ -429,159 +423,8 @@ def min_cost_selection(weights: Sequence[int], counts: Sequence[int], costs: Seq
     return None
 
 
-# ---------------------------------------------------------------------------
-# the maximum-excess oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ItemSystem:
-    """Players grouped into classes of identical (weight, cost)."""
-
-    weights: tuple[int, ...]          # integer weights per class
-    counts: tuple[int, ...]
-    costs: tuple[int, ...]            # scaled payoff numerators per member
-    denom: int                        # common denominator of all payoffs
-    members: tuple[tuple[int, ...], ...]  # input-order player indices per class
-
-
-def build_item_system(rep: Representation, x: Sequence) -> _ItemSystem:
-    if not rep.has_integer_weights():
-        raise NonIntegerWeights("the oracle requires integer weights; scale with to_integer()")
-    xs = [Fraction(v) for v in x]
-    if len(xs) != rep.n:
-        raise DimensionMismatch(f"payoff vector has length {len(xs)}, game has {rep.n} players")
-    denom = 1
-    for v in xs:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    groups: dict[tuple[int, int], list[int]] = {}
-    orig = rep.original_weights
-    for i in range(rep.n):
-        key = (int(orig[i]), int(xs[i] * denom))
-        groups.setdefault(key, []).append(i)
-    keys = sorted(groups, key=lambda k: (-k[0], k[1]))
-    return _ItemSystem(
-        weights=tuple(k[0] for k in keys),
-        counts=tuple(len(groups[k]) for k in keys),
-        costs=tuple(k[1] for k in keys),
-        denom=denom,
-        members=tuple(tuple(groups[k]) for k in keys),
-    )
-
-
-def _selection_to_coalition(items: _ItemSystem, prof: Sequence[int]) -> frozenset[int]:
-    members: list[int] = []
-    for cls, j in enumerate(prof):
-        members.extend(items.members[cls][:j])
-    return frozenset(members)
-
-
-def _expansions(items: _ItemSystem, prof: Sequence[int], cap: int):
-    """Up to ``cap`` distinct explicit coalitions with class counts ``prof``."""
-    import itertools
-
-    pools = [
-        itertools.combinations(items.members[cls], j)
-        for cls, j in enumerate(prof)
-    ]
-    for combo in itertools.islice(itertools.product(*pools), cap):
-        yield frozenset(i for part in combo for i in part)
-
-
-def _coalition_to_selection(items: _ItemSystem, coal: frozenset[int]) -> tuple[int, ...]:
-    counts = []
-    for cls_members in items.members:
-        counts.append(sum(1 for i in cls_members if i in coal))
-    return tuple(counts)
-
-
 def min_winning_weight(rep: Representation) -> int:
     """Smallest integer total weight that wins (integer weights required)."""
     q = rep.quota
     c = -(-q.numerator // q.denominator)  # ceil
     return int(c)
-
-
-def max_excess_coalition(rep: Representation, x: Sequence,
-                         forbidden: Iterable[frozenset[int]] = (),
-                         max_pops: int = 2000) -> ExcessRecord:
-    """A coalition with maximum excess at x among all coalitions (including
-    the empty and grand coalitions) outside ``forbidden``.
-
-    Requires integer weights and a componentwise nonnegative payoff vector.
-    Ties between a winning and a losing candidate of equal excess go to the
-    winning one; remaining ties follow the class-count order of the grouped
-    item system.
-    """
-    xs = [Fraction(v) for v in x]
-    if any(v < 0 for v in xs):
-        raise GameError("the oracle requires a nonnegative payoff vector")
-    items = build_item_system(rep, xs)
-    W = sum(w * c for w, c in zip(items.weights, items.counts))
-    C = min_winning_weight(rep)
-
-    # a class vector is exhausted only when every explicit coalition with
-    # those counts is forbidden; otherwise it stays eligible and a
-    # non-forbidden expansion is picked afterwards
-    forbidden_sets = {frozenset(c) for c in forbidden}
-    per_class: dict[tuple[int, ...], int] = {}
-    for coal in forbidden_sets:
-        sel = _coalition_to_selection(items, coal)
-        per_class[sel] = per_class.get(sel, 0) + 1
-
-    def class_multiplicity(prof: tuple[int, ...]) -> int:
-        mult = 1
-        for cls, j in enumerate(prof):
-            mult *= math.comb(items.counts[cls], j)
-        return mult
-
-    def acceptable(prof: tuple[int, ...]) -> bool:
-        hit = per_class.get(prof, 0)
-        return hit == 0 or hit < class_multiplicity(prof)
-
-    win = min_cost_selection(items.weights, items.counts, items.costs,
-                             C, W, accept=acceptable, max_pops=max_pops)
-    lose = None
-    if C >= 1:
-        lose = min_cost_selection(items.weights, items.counts, items.costs,
-                                  0, C - 1, accept=acceptable, max_pops=max_pops)
-
-    D = items.denom
-    best = None  # (excess numerator over D, is_winning, prof)
-    if win is not None:
-        best = (D - win[0], True, win[1])
-    if lose is not None:
-        cand = (-lose[0], False, lose[1])
-        if best is None or cand[0] > best[0]:
-            best = cand
-    if best is None:
-        raise GameError("all coalitions are forbidden")
-    num, _, prof = best
-    chosen = None
-    for cand_set in _expansions(items, prof, len(forbidden_sets) + 1):
-        if cand_set not in forbidden_sets:
-            chosen = cand_set
-            break
-    if chosen is None:  # pragma: no cover
-        raise GameError("all coalitions are forbidden")
-    counts_by_type = _profile_by_weight_types(rep, items, prof)
-    return ExcessRecord(
-        excess=Fraction(num, D),
-        coalition=chosen,
-        profile=counts_by_type,
-    )
-
-
-def _profile_by_weight_types(rep: Representation, items: _ItemSystem,
-                             prof: Sequence[int]) -> ProfileCoalition | None:
-    """Collapse an item-class selection to a weight-type profile when the
-    selection is weight-symmetric enough to be one."""
-    table = rep.weight_types()
-    counts = [0] * table.t
-    index_of = {int(w): i for i, (w, _) in enumerate(table.entries)}
-    for cls, j in enumerate(prof):
-        counts[index_of[items.weights[cls]]] += j
-    try:
-        return ProfileCoalition.of(rep, counts)
-    except GameError:  # pragma: no cover
-        return None

@@ -107,12 +107,7 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: tuple[Fraction, ...] | None = None
     objective_value: Fraction | None = None
-    active_constraints: tuple[int, ...] = ()
     duals: tuple[Fraction, ...] | None = None
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
 
 
 def dump_program(lp: ExactLinearProgram) -> str:
@@ -503,28 +498,13 @@ def solve(lp: ExactLinearProgram) -> LpSolution:
     x = sf.x_from_z(zs)
     obj_value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
 
-    active = []
-    duals = []
-    for i, origin in enumerate(sf.row_origin):
-        kind, idx = origin
-        if kind != "con":
-            continue
-        con = lp.constraints[idx]
-        lhs = sum((c * v for c, v in zip(con.coeffs, x)), Fraction(0))
-        if lhs == con.rhs:
-            active.append(idx)
-        # per-row scaling maps the internal dual to the original row; the
-        # sense flip for max problems is undone here as well
-        y = internal_duals[i] * sf.row_scale[i] * sf.obj_sign
-        duals.append(y)
-
-    return LpSolution(
-        status="optimal",
-        values=x,
-        objective_value=obj_value,
-        active_constraints=tuple(active),
-        duals=tuple(duals),
+    # per-row scaling maps the internal dual to the original row; the sense
+    # flip for max problems is undone here as well
+    duals = tuple(
+        internal_duals[i] * sf.row_scale[i] * sf.obj_sign
+        for i, (kind, _) in enumerate(sf.row_origin) if kind == "con"
     )
+    return LpSolution(status="optimal", values=x, objective_value=obj_value, duals=duals)
 
 
 def feasible(lp: ExactLinearProgram) -> tuple[bool, tuple[Fraction, ...] | None]:

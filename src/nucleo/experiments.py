@@ -5,8 +5,7 @@ Built-in families:
 
 * ``eq3``     the quota-(2n-1)/2 games [1, 2, ..., 2] whose payoff ratio
               between the light and a heavy player alternates between 0 and 1,
-* ``replica`` rho-fold replicas of a base game,
-* ``custom``  an explicit list of games.
+* ``replica`` rho-fold replicas of a base game.
 
 Reports serialize deterministically to CSV or JSON; rationals are emitted as
 "p/q" strings and ratios with a zero denominator as "undefined".
@@ -28,7 +27,7 @@ class UnknownFormat(GameError):
     pass
 
 
-FAMILIES = ("eq3", "replica", "custom")
+FAMILIES = ("eq3", "replica")
 
 
 def eq3_representation(n: int) -> Representation:
@@ -76,9 +75,8 @@ class RatioPair:
 @dataclass(frozen=True)
 class SequenceSpec:
     family: str
-    values: tuple[int, ...]  # n values (eq3), rho values (replica), indices (custom)
+    values: tuple[int, ...]  # n values (eq3) or rho values (replica)
     base: Representation | None = None
-    games: tuple[Representation, ...] = ()
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -89,15 +87,11 @@ class SequenceSpec:
             raise GameError("parameter range must be strictly ascending")
         if self.family == "replica" and self.base is None:
             raise GameError("replica family needs a base game")
-        if self.family == "custom" and len(self.games) != len(self.values):
-            raise GameError("custom family needs one game per parameter value")
 
     def game(self, value: int) -> Representation:
         if self.family == "eq3":
             return eq3_representation(value)
-        if self.family == "replica":
-            return self.base.replicate(value)
-        return self.games[self.values.index(value)]
+        return self.base.replicate(value)
 
 
 @dataclass(frozen=True)

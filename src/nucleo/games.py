@@ -49,13 +49,6 @@ def _to_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-Coalition = frozenset  # frozenset of 0-based player indices, input order
-
-
-def coalition(players: Iterable[int]) -> frozenset[int]:
-    return frozenset(int(i) for i in players)
-
-
 @dataclass(frozen=True)
 class WeightTypeTable:
     """Distinct weight values with multiplicities, heaviest first.
@@ -147,9 +140,6 @@ class Representation:
             raise GameError(f"expected {self.n} values, got {len(vals)}")
         return tuple(vals[orig] for orig in self.input_order)
 
-    def weight_of(self, player: int) -> Fraction:
-        return self.original_weights[player]
-
     # -- game structure ----------------------------------------------------
 
     def coalition_weight(self, players: Iterable[int]) -> Fraction:
@@ -163,9 +153,6 @@ class Representation:
 
     def is_winning(self, players: Iterable[int]) -> bool:
         return self.coalition_weight(players) >= self.quota
-
-    def singleton_value(self, player: int) -> int:
-        return 1 if self.weight_of(player) >= self.quota else 0
 
     # -- transformations ---------------------------------------------------
 

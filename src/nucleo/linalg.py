@@ -1,8 +1,7 @@
 """Small exact linear algebra: an incrementally built affine system in echelon form.
 
 Used by the sequential nucleolus scheme to hold the equalities fixed so far
-(efficiency plus frozen coalition rows), answer rank and span-membership
-queries, expose an integer kernel basis for the separation oracle's
+(efficiency plus frozen coalition rows), answer rank queries, expose an integer kernel basis for the separation oracle's
 "constant excess" filter, and solve the system once it pins a unique point.
 """
 
@@ -40,11 +39,6 @@ class EchelonSystem:
                         v[j] -= f * row[j]
                 r -= f * row[self.dim]
         return v, r
-
-    def contains(self, vec: Sequence) -> bool:
-        """True iff ``vec`` lies in the row span (ignoring right-hand sides)."""
-        v, _ = self._reduce(vec, 0)
-        return all(c == 0 for c in v)
 
     def add_row(self, vec: Sequence, rhs) -> bool:
         """Add ``vec . x = rhs``; returns True iff the row was independent.
@@ -102,9 +96,3 @@ class EchelonSystem:
         for row, pc in zip(self.rows, self.pivot_cols):
             x[pc] = row[self.dim]
         return tuple(x)
-
-    def copy(self) -> "EchelonSystem":
-        dup = EchelonSystem(self.dim)
-        dup.rows = [list(r) for r in self.rows]
-        dup.pivot_cols = list(self.pivot_cols)
-        return dup

@@ -200,12 +200,12 @@ class _ItemSpace:
         try:
             win = min_cost_selection(self.weights, self.counts, costs,
                                      self.win_cut, self.total_weight,
-                                     accept=acceptable, max_pops=400)
+                                     accept=acceptable)
             lose = None
             if self.win_cut >= 1:
                 lose = min_cost_selection(self.weights, self.counts, costs,
                                           0, self.win_cut - 1,
-                                          accept=acceptable, max_pops=400)
+                                          accept=acceptable)
         except OracleStall:
             return self._scan_best(costs, denom, kernel, exclude)
 
@@ -372,19 +372,35 @@ def _always_tight(space: _ItemSpace, system: EchelonSystem, working: list,
     return best_paid == floor
 
 
-def _sequential_nucleolus(space: _ItemSpace, to_full_input):
-    """Returns (payoff per class, levels, stage count)."""
-    dim = space.dim
+def _start(space: _ItemSpace):
+    """The efficiency system and the seed pool, once individual rationality
+    leaves room for an imputation; returns (system, working)."""
     lb_total = sum(
         (lb * c for lb, c in zip(space.lower_bounds, space.counts)), Fraction(0)
     )
     if lb_total > 1:
         raise NoImputation("individual rationality demands more than the total payoff")
-
-    system = EchelonSystem(dim)
+    system = EchelonSystem(space.dim)
     system.add_row([Fraction(c) for c in space.counts], Fraction(1))  # efficiency
-
     working: list[tuple[int, ...]] = list(dict.fromkeys(space.seeds()))
+    return system, working
+
+
+def _stage_level(space: _ItemSpace, system: EchelonSystem, working: list, kernel):
+    """Grow ``working`` until the oracle confirms the master LP's optimum;
+    returns (y, eps, dual value per working row)."""
+    while True:
+        y, eps, work_duals = _solve_master(space, system, working)
+        viol = space.best_excess(y, kernel)
+        if viol is None or viol[1] <= eps:
+            return y, eps, work_duals
+        working.append(viol[0])
+
+
+def _sequential_nucleolus(space: _ItemSpace, to_full_input):
+    """Returns (payoff per class, levels, stage count)."""
+    dim = space.dim
+    system, working = _start(space)
     levels: list[tuple[Fraction, list]] = []
     stages = 0
 
@@ -399,13 +415,7 @@ def _sequential_nucleolus(space: _ItemSpace, to_full_input):
             if single not in working and _movable(single, kernel):
                 working.append(single)
 
-        # stage level: grow the working set until the oracle confirms optimality
-        while True:
-            y, eps, work_duals = _solve_master(space, system, working)
-            viol = space.best_excess(y, kernel)
-            if viol is None or viol[1] <= eps:
-                break
-            working.append(viol[0])
+        y, eps, work_duals = _stage_level(space, system, working, kernel)
 
         # constraints tight at every optimum of this stage: a positive dual
         # value proves it (complementary slackness); zero-dual actives get an
@@ -535,39 +545,22 @@ def nucleus_box(rep: Representation, engine: str = "auto",
     """
     space, work_rep, keep, _ = _prepare_space(rep, engine, max_brute_players)
     dim = space.dim
-    lb_total = sum(
-        (lb * c for lb, c in zip(space.lower_bounds, space.counts)), Fraction(0)
-    )
-    if lb_total > 1:
-        raise NoImputation("individual rationality demands more than the total payoff")
-
-    system = EchelonSystem(dim)
-    system.add_row([Fraction(c) for c in space.counts], Fraction(1))
-    kernel = system.kernel_basis_int()
-
-    working = [v for v in dict.fromkeys(space.seeds()) if _movable(v, kernel)]
-    if system.rank < dim:
-        while True:
-            y, eps, _ = _solve_master(space, system, working)
-            viol = space.best_excess(y, kernel)
-            if viol is None or viol[1] <= eps:
-                break
-            working.append(viol[0])
-        eps_face = eps if eps > 0 else Fraction(0)
-
-    lower = [Fraction(0)] * dim
-    upper = [Fraction(0)] * dim
-    for k in range(dim):
-        if system.rank == dim:
-            point = system.solve_unique()
-            lower[k] = upper[k] = point[k]
-            continue
-        obj = [Fraction(0)] * dim
-        obj[k] = Fraction(1)
-        lower[k] = _optimize_over_face(space, system, working, eps_face,
-                                       obj, "min", kernel)
-        upper[k] = _optimize_over_face(space, system, working, eps_face,
-                                       obj, "max", kernel)
+    system, working = _start(space)
+    if system.rank == dim:
+        lower = upper = system.solve_unique()
+    else:
+        kernel = system.kernel_basis_int()
+        working = [v for v in working if _movable(v, kernel)]
+        _, eps, _ = _stage_level(space, system, working, kernel)
+        eps_face = max(eps, Fraction(0))
+        lower, upper = [], []
+        for k in range(dim):
+            obj = [Fraction(0)] * dim
+            obj[k] = Fraction(1)
+            lower.append(_optimize_over_face(space, system, working, eps_face,
+                                             obj, "min", kernel))
+            upper.append(_optimize_over_face(space, system, working, eps_face,
+                                             obj, "max", kernel))
 
     lo_full = _expand_to_full(space, work_rep, keep, lower, rep.n)
     hi_full = _expand_to_full(space, work_rep, keep, upper, rep.n)

@@ -159,7 +159,7 @@ class _ExcessNums:
 
 def _lex_dominates(xs_cache, arr_x, dx, arr_y, dy):
     """Ordered excesses of x weakly precede those of y lexicographically."""
-    top_x = max(arr_x.max(), 0) if False else arr_x.max()
+    top_x = arr_x.max()
     top_y = arr_y.max()
     lhs, rhs = top_x * dy, top_y * dx
     if lhs < rhs:

@@ -1,6 +1,8 @@
 import json
 
+import nucleo.cli
 from nucleo.cli import main
+from nucleo.nucleolus import SolverError
 
 
 def run(capsys, *argv):
@@ -34,6 +36,17 @@ def test_solve_limit_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "--engine", "brute", "3; 1 1 1 1")
     assert code == 3
     assert "brute engine" in err
+
+
+def test_solve_internal_error_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise SolverError("stage count exceeded the dimension bound")
+
+    monkeypatch.setattr(nucleo.cli, "nucleolus", broken)
+    code, out, err = run(capsys, "solve", "8; 6 4 3 2")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal invariant failed: stage count exceeded the dimension bound\n"
 
 
 def test_solve_json_round_trip(capsys):

@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from nucleo.coalitions import (
     DimensionMismatch,
-    NonIntegerWeights,
-    TooManyPlayers,
+    EnumerationLimit,
     all_profiles,
     excess,
     is_minimal_winning_profile,
-    max_excess_coalition,
     minimal_winning_coalitions,
     minimal_winning_count_vectors,
     minimal_winning_profiles,
@@ -19,10 +17,34 @@ from nucleo.coalitions import (
     reachable_weights,
 )
 from nucleo.games import representation
+from nucleo.nucleolus import _ItemSpace
 
 import oracles
 
 XSTAR_8 = (F(2, 5), F(1, 5), F(1, 5), F(1, 5))
+
+
+def identity_kernel(dim):
+    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+def solver_oracle(rep, x, forbidden=()):
+    """The solver's max-excess oracle on the player space, as (excess,
+    coalition) in input order, or None.
+
+    Under the identity kernel every non-empty coalition is movable and the
+    empty one is not, so the reference is the brute maximum over non-empty
+    coalitions.  Coalitions travel as 0/1 vectors in sorted player order.
+    """
+    space = _ItemSpace(rep, "player")
+    exclude = frozenset(rep.to_sorted_order([int(i in S) for i in range(rep.n)])
+                        for S in forbidden)
+    y = rep.to_sorted_order([F(v) for v in x])
+    found = space.best_excess(y, identity_kernel(rep.n), exclude)
+    if found is None:
+        return None
+    vec, value = found
+    return value, frozenset(rep.input_order[k] for k, j in enumerate(vec) if j)
 
 
 def test_excess_examples():
@@ -68,7 +90,7 @@ def test_ordered_excess_vector_five_players():
 
 def test_ordered_excess_vector_limit():
     rep = representation(2, [1, 1, 1])
-    with pytest.raises(TooManyPlayers):
+    with pytest.raises(EnumerationLimit):
         ordered_excess_vector(rep, [F(1, 3)] * 3, limit=2)
 
 
@@ -128,41 +150,41 @@ def test_profile_excess_matches_explicit_at_symmetric_payoff():
 
 def test_max_excess_uniform_payoff():
     rep = representation(8, [6, 4, 3, 2])
-    rec = max_excess_coalition(rep, [F(1, 4)] * 4)
-    assert rec.excess == F(1, 2)
-    assert rep.is_winning(rec.coalition)
-    assert sum((F(1, 4) for _ in rec.coalition), F(0)) == F(1, 2)
+    value, coal = solver_oracle(rep, [F(1, 4)] * 4)
+    assert value == F(1, 2)
+    assert rep.is_winning(coal)
+    assert sum((F(1, 4) for _ in coal), F(0)) == F(1, 2)
 
 
 def test_max_excess_dictator():
-    rec = max_excess_coalition(representation(1, [1]), [F(1)])
-    assert rec.excess == F(0)
-    assert rec.coalition in (frozenset(), frozenset({0}))
+    value, coal = solver_oracle(representation(1, [1]), [F(1)])
+    assert value == F(0)
+    assert coal == frozenset({0})
 
 
 def test_max_excess_requires_integer_weights():
     rep = representation(F(1, 2), [F(9, 20), F(9, 20), F(1, 10)])
-    with pytest.raises(NonIntegerWeights):
-        max_excess_coalition(rep, [F(1, 3)] * 3)
-    # after scaling the oracle runs
-    rec = max_excess_coalition(rep.to_integer(), [F(1, 3)] * 3)
-    assert rec.excess == F(1, 3)
+    # the oracle runs on the integer-scaled game, as the solver does
+    value, _ = solver_oracle(rep.to_integer(), [F(1, 3)] * 3)
+    assert value == F(1, 3)
 
 
 def test_max_excess_flagship_value_cross_checked_on_scaled_instance():
     # 30-player scaled instance: exhaustive profile scan as the oracle
     rep = representation(50, [4] * 10 + [3] * 10 + [2] * 10)
     wbar = [F(w, 90) for w in rep.original_weights]
-    rec = max_excess_coalition(rep, wbar)
     best = None
     for prof in all_profiles(rep):
+        if not any(prof.counts):
+            continue
         e = (1 if prof.weight >= rep.quota else 0) - prof.weight / 90
         best = e if best is None or e > best else best
-    assert rec.excess == best == F(4, 9)
-    # full 900-player game at its normalized weights
+    assert solver_oracle(rep, wbar)[0] == best == F(4, 9)
+    # full 900-player game at its normalized weights, on the type space
     rep900 = representation(1500, [4] * 300 + [3] * 300 + [2] * 300)
-    wbar900 = [F(w, 2700) for w in rep900.original_weights]
-    assert max_excess_coalition(rep900, wbar900).excess == F(4, 9)
+    space = _ItemSpace(rep900, "type")
+    y = [F(4, 2700), F(3, 2700), F(2, 2700)]
+    assert space.best_excess(y, identity_kernel(3))[1] == F(4, 9)
 
 
 def test_max_excess_respects_forbidden_sets():
@@ -177,11 +199,15 @@ def test_max_excess_respects_forbidden_sets():
         x = oracles.random_imputation(rep, rng, denominator=101)
         universe = list(oracles.coalitions(n))
         forbidden = frozenset(rng.sample(universe, k=min(3, len(universe))))
-        rec = max_excess_coalition(rep, x, forbidden=forbidden)
-        expect = oracles.brute_max_excess(rep, x, forbidden)
-        assert rec.excess == expect[0]
-        assert rec.coalition not in forbidden
-        assert excess(rep, rec.coalition, x) == rec.excess
+        got = solver_oracle(rep, x, forbidden)
+        expect = oracles.brute_max_excess(rep, x, forbidden | {frozenset()})
+        if expect is None:
+            assert got is None
+            continue
+        value, coal = got
+        assert value == expect[0]
+        assert coal and coal not in forbidden
+        assert excess(rep, coal, x) == value
 
 
 def test_oracle_agrees_with_enumeration_at_limit_scale():
@@ -196,10 +222,11 @@ def test_oracle_agrees_with_enumeration_at_limit_scale():
             x = oracles.random_imputation(rep, rng, denominator=503)
             universe = [frozenset({i, (i + 1) % n}) for i in range(4)]
             forbidden = frozenset(universe)
-            rec = max_excess_coalition(rep, x, forbidden=forbidden)
+            value, _ = solver_oracle(rep, x, forbidden)
             vec = ordered_excess_vector(rep, x, limit=n)
-            best = next(r.excess for r in vec if r.coalition not in forbidden)
-            assert rec.excess == best
+            best = next(r.excess for r in vec
+                        if r.coalition and r.coalition not in forbidden)
+            assert value == best
 
 
 @given(st.lists(st.integers(1, 6), min_size=2, max_size=7), st.integers(1, 30),
@@ -212,8 +239,8 @@ def test_oracle_agrees_with_enumeration(ws, q, seed):
         return
     rng = random.Random(seed)
     x = oracles.random_imputation(rep, rng, denominator=211)
-    rec = max_excess_coalition(rep, x)
-    assert rec.excess == oracles.brute_max_excess(rep, x)[0]
+    value, _ = solver_oracle(rep, x)
+    assert value == oracles.brute_max_excess(rep, x, {frozenset()})[0]
 
 
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=8), st.integers(1, 30),

@@ -29,7 +29,7 @@ def test_min_with_lower_bound_constraint():
     assert sol.status == "optimal"
     assert sol.values == (F(3),)
     assert sol.objective_value == F(3)
-    assert sol.active_constraints == (0,)
+    assert sol.duals == (F(1),)  # a positive dual: the constraint is active
 
 
 def test_symmetric_two_player_epsilon_program():

@@ -1,0 +1,72 @@
+"""Byte-exact ``nucleo solve --format json`` output on a fixed set of games.
+
+The golden file pins every field of the output, the fixed levels and their
+coalitions included, on every engine each game allows.  A refactor that
+claims to keep the solver's behaviour must leave it unchanged.  To rewrite
+it after an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from nucleo.cli import main
+from nucleo.gameio import parse_game
+from nucleo.nucleolus import DEFAULT_MAX_BRUTE_PLAYERS
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "solve.json"
+
+GAMES = (
+    "8; 6 4 3 2",
+    "3; 2 1 1 1",
+    "5; 4 3 2",
+    "7/2; 1 2 2 2",
+    "50; 10*4 10*3 10*2",
+    "58%; 5*4 7*1",
+    # criterion-6 corpus games whose nucleolus fixes two levels on both
+    # engines; two of them have a zero-weight player
+    "6 ; 4 5 9",
+    "8 ; 1 2 4 3",
+    "18 ; 8 2 0 6 7",
+    "21 ; 7 1 8 7 2 0",
+    "29 ; 9 2 8 2 5 3 3",
+    "40 ; 9 8 7 7 1 9 2",
+)
+
+
+def engines(game: str) -> tuple[str, ...]:
+    if parse_game(game).n > DEFAULT_MAX_BRUTE_PLAYERS:
+        return ("auto", "typed")
+    return ("auto", "brute", "typed")
+
+
+def solve_json(game: str, engine: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["solve", "--format", "json", "--engine", engine, game])
+    assert code == 0
+    return buf.getvalue()
+
+
+CASES = [(game, engine) for game in GAMES for engine in engines(game)]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("game,engine", CASES)
+def test_solve_json_matches_golden(golden, game, engine):
+    assert solve_json(game, engine) == golden[game][engine]
+
+
+if __name__ == "__main__":
+    table = {game: {engine: solve_json(game, engine) for engine in engines(game)}
+             for game in GAMES}
+    GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from nucleo.coalitions import EnumerationLimit, ordered_excess_vector
+from nucleo.coalitions import EnumerationLimit, all_profiles, ordered_excess_vector
 from nucleo.games import representation
-from nucleo.nucleolus import NoImputation, nucleolus, nucleus_box
+from nucleo.nucleolus import NoImputation, _ItemSpace, _start, nucleolus, nucleus_box
 
 import oracles
 
@@ -181,3 +181,92 @@ def test_nucleus_box_unanimity_is_whole_imputation_set():
     box = nucleus_box(representation(2, [1, 1]), engine="brute")
     assert box.lower == (F(0), F(0))
     assert box.upper == (F(1), F(1))
+
+
+# ---------------------------------------------------------------------------
+# the oracle's full-scan fallbacks, run when the knapsack search stalls
+# ---------------------------------------------------------------------------
+
+
+def scan_setup(rep, granularity, rng):
+    """A space, a kernel with one frozen row beyond efficiency, integer costs
+    of a random nonnegative payoff per class, and an exclusion set: the
+    knapsack path's answer without exclusions plus two random vectors."""
+    space = _ItemSpace(rep, granularity)
+    system, _ = _start(space)
+    lattice = [range(c + 1) for c in space.counts]
+    while system.rank < 2:
+        row = [rng.choice(r) for r in lattice]
+        # consistent with the equal split, which satisfies efficiency
+        system.add_row([F(j) for j in row], F(sum(row), rep.n))
+    kernel = system.kernel_basis_int()
+    denom = 97
+    costs = [rng.randint(0, 40) for _ in range(space.dim)]
+    exclude = {tuple(rng.choice(r) for r in lattice) for _ in range(2)}
+    top = space.best_excess([F(c, denom) for c in costs], kernel)
+    if top is not None:
+        exclude.add(top[0])
+    return space, kernel, costs, denom, frozenset(exclude)
+
+
+def movable(vec, kernel):
+    return any(sum(j * d for j, d in zip(vec, kv)) for kv in kernel)
+
+
+def test_scan_best_masks_matches_brute_max_excess():
+    rng = random.Random(3131)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(3, 8)
+        ws = [rng.randint(1, 6) for _ in range(n)]
+        rep = representation(rng.randint(2, sum(ws)), ws)
+        if not oracles.has_imputation(rep):
+            continue
+        space, kernel, costs, denom, exclude = scan_setup(rep, "player", rng)
+        x = rep.to_input_order([F(c, denom) for c in costs])
+        as_vec = {S: rep.to_sorted_order([int(i in S) for i in range(n)])
+                  for S in oracles.coalitions(n)}
+        skip = {S for S, vec in as_vec.items() if vec in exclude or not movable(vec, kernel)}
+        expect = oracles.brute_max_excess(rep, x, skip)
+        got = space._scan_best_masks(costs, denom, kernel, exclude)
+        assert got == space._scan_best(costs, denom, kernel, exclude)
+        if expect is None:
+            assert got is None
+            continue
+        vec, value = got
+        assert value == expect[0]
+        assert vec not in exclude and movable(vec, kernel)
+        assert space.excess_at(vec, [F(c, denom) for c in costs]) == value
+        assert space.best_excess([F(c, denom) for c in costs], kernel, exclude)[1] == value
+        checked += 1
+
+
+def test_scan_best_type_lattice_matches_profile_scan():
+    rng = random.Random(4242)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(4, 14)
+        ws = [rng.randint(1, 4) for _ in range(n)]
+        rep = representation(rng.randint(2, sum(ws)), ws)
+        if rep.weight_types().t < 2 or not oracles.has_imputation(rep):
+            continue
+        space, kernel, costs, denom, exclude = scan_setup(rep, "type", rng)
+        y = [F(c, denom) for c in costs]
+        best = None
+        for prof in all_profiles(rep):
+            if prof.counts in exclude or not movable(prof.counts, kernel):
+                continue
+            e = (1 if prof.weight >= rep.quota else 0) - sum(
+                (j * yk for j, yk in zip(prof.counts, y)), F(0))
+            best = e if best is None or e > best else best
+        got = space._scan_best(costs, denom, kernel, exclude)
+        if best is None:
+            assert got is None
+            continue
+        vec, value = got
+        assert value == best
+        assert vec not in exclude and movable(vec, kernel)
+        assert space.excess_at(vec, y) == value
+        assert space.best_excess(y, kernel, exclude)[1] == value
+        checked += 1
+

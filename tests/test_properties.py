@@ -11,9 +11,9 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from nucleo.coalitions import all_profiles, max_excess_coalition, ordered_excess_vector
+from nucleo.coalitions import all_profiles, ordered_excess_vector
 from nucleo.games import representation
-from nucleo.nucleolus import nucleolus, nucleus_box
+from nucleo.nucleolus import _ItemSpace, _start, nucleolus, nucleus_box
 from nucleo.theory import gap_report, is_constant_sum, permits_homogeneous_rep
 
 import oracles
@@ -105,15 +105,21 @@ def test_excess_vector_tie_break_is_mask_ascending():
         assert ea > eb or (ea == eb and ma < mb)
 
 
-def test_oracle_includes_empty_and_grand_coalition():
+def test_oracle_skips_empty_and_grand_coalition():
+    # at the unanimity nucleolus the empty and grand coalitions have the
+    # largest excess, 0, but it is constant on the efficiency hull, so under
+    # the solver's stage-1 kernel the oracle never returns them
     rep = representation(2, [1, 1])
-    # at the unanimity nucleolus every proper coalition has negative excess,
-    # so the empty set's 0 is the maximum
-    rec = max_excess_coalition(rep, [F(1, 2), F(1, 2)])
-    assert rec.excess == F(0)
-    rec = max_excess_coalition(rep, [F(1, 2), F(1, 2)],
-                               forbidden=[frozenset(), frozenset({0, 1})])
-    assert rec.excess == F(-1, 2)
+    space = _ItemSpace(rep, "player")
+    kernel = _start(space)[0].kernel_basis_int()
+    y = [F(1, 2), F(1, 2)]
+    vec, value = space.best_excess(y, kernel)
+    assert value == F(-1, 2)
+    assert vec in ((1, 0), (0, 1))
+    assert space.best_excess(y, kernel, exclude=frozenset({(1, 0), (0, 1)})) is None
+    # one weight type: efficiency fixes every excess, nothing is movable
+    typed = _ItemSpace(rep, "type")
+    assert typed.best_excess([F(1, 2)], _start(typed)[0].kernel_basis_int()) is None
 
 
 def test_constant_sum_via_complement_pairs_matches_definition():
