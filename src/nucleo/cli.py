@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .coalitions import EnumerationLimit
+from .coalitions import EnumerationLimit, OracleInvariantError
 from .exactlp import SolverInternalError
 from .gameio import format_game, parse_game
 from .games import GameError, Representation
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # every GameError, ParseError and NoImputation
         code, message = EXIT_INPUT, str(exc)
     except (SolverError, SolverInternalError, IdentityViolation,
-            InconsistentSystem) as exc:
+            InconsistentSystem, OracleInvariantError) as exc:
         code, message = EXIT_INTERNAL, f"internal invariant failed: {exc}"
     print(f"error: {message}", file=sys.stderr)
     return code

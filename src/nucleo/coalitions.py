@@ -2,13 +2,17 @@
 min-cost selection engine behind the nucleolus solver's separation oracle.
 
 ``min_cost_selection`` finds a cheapest selection of items, each taken
-between zero and its count, whose total weight lies in a window, without
-enumerating all selections: a bounded-knapsack dynamic program over integer
-total weight gives the optimum, and rejected candidates are handled by
-partitioning the count box around each one and re-running the DP on each
-part, so candidates come out in ascending cost order.  Over winning
-coalitions the maximum excess is 1 minus the cost of a cheapest winning
-selection, and over losing ones minus the cost of a cheapest losing one.
+between zero and its count, whose total weight lies in a window, and hands
+out candidates in ascending (cost, counts) order until one is acceptable.
+When the count lattice is no larger than the DP tables it is listed and
+sorted outright.  Otherwise a bounded-knapsack dynamic program over integer
+total weight gives the optimum: the suffix tables of the free items are
+built once per call, and a rejected candidate's box is partitioned into
+sub-boxes, each a fixed prefix, one restricted item and free items after
+it, so a sub-box costs one new DP layer and a one-pass reconstruction.
+Over winning coalitions the maximum excess is 1 minus the cost of a
+cheapest winning selection, and over losing ones minus the cost of a
+cheapest losing one.
 
 What an item is belongs to the caller: the solver's ``_ItemSpace`` (in
 ``nucleolus``) uses one item per player, or one per weight type, so the
@@ -43,6 +47,10 @@ class DimensionMismatch(GameError):
 
 class OracleStall(RuntimeError):
     """The exclusion-partition search exceeded its candidate budget."""
+
+
+class OracleInvariantError(RuntimeError):
+    """The knapsack tables contradict each other: a bug, never a budget stall."""
 
 
 # ---------------------------------------------------------------------------
@@ -334,53 +342,140 @@ def _convolve(old: list, omega: int, lo: int, hi: int, cost: int, top: int) -> l
     return new
 
 
-def _box_min_cost(weights: Sequence[int], los: Sequence[int], his: Sequence[int],
-                  costs: Sequence[int], wlo: int, whi: int):
-    """Cheapest selection with per-item counts in [lo, hi] and total weight in
-    [wlo, whi]; ties resolved toward the lexicographically smallest count
-    vector.  Returns (cost, counts) or None."""
+def _suffix_tables(weights: Sequence[int], counts: Sequence[int], costs: Sequence[int],
+                   whi: int) -> list[list]:
+    """tables[k][w] is the cheapest cost of items k..t-1, each taken between
+    zero and its count, with total weight exactly w <= whi.  Every box of the
+    partition search frees all the items after its own, so it reads these;
+    tables[0] is never read and left empty."""
     t = len(weights)
-    dp: list[list] = [[_INF] * (whi + 1) for _ in range(t + 1)]
-    dp[t][0] = 0
-    for k in reversed(range(t)):
-        dp[k] = _convolve(dp[k + 1], weights[k], los[k], his[k], costs[k], whi)
+    tables: list[list] = [[] for _ in range(t + 1)]
+    tables[t] = [_INF] * (whi + 1)
+    tables[t][0] = 0
+    for k in range(t - 1, 0, -1):
+        tables[k] = _convolve(tables[k + 1], weights[k], 0, counts[k], costs[k], whi)
+    return tables
+
+
+def _smallest_count(arr: list, omega: int, cost: int, lo: int, hi: int,
+                    need: int, wmin: int, wmax: int):
+    """Smallest j in [lo, hi] such that some weight w with arr[w] finite has
+    j*cost + arr[w] == need and j*omega + w in [wmin, wmax], or None.
+
+    A reached weight fixes j through the cost, or, for a free item, the
+    smallest j that reaches wmin, so one pass over the weights suffices.
+    """
+    found = None
+    for w in range(min(wmax, len(arr) - 1) + 1):
+        v = arr[w]
+        if v is _INF:
+            continue
+        if cost:
+            j, rest = divmod(need - v, cost)
+            if rest:
+                continue
+        elif v != need:
+            continue
+        else:
+            j = max(lo, -((w - wmin) // omega))
+        if lo <= j <= hi and wmin <= j * omega + w <= wmax and (found is None or j < found):
+            found = j
+            if j == lo:
+                break
+    return found
+
+
+def _box_min_cost(tables: list[list], weights: Sequence[int], counts: Sequence[int],
+                  costs: Sequence[int], prefix: tuple[int, ...], lo: int, hi: int,
+                  wlo: int, whi: int):
+    """Cheapest selection that starts with ``prefix``, takes between lo and hi
+    of the next item and any count of every later item, with total weight in
+    [wlo, whi]; ties resolved toward the lexicographically smallest count
+    vector.  Returns (cost, counts) or None.
+
+    The fixed prefix is a weight and cost offset; the free items after the
+    next one are ``tables``, so the box costs one new DP layer.
+    """
+    k = len(prefix)
+    acc_w = sum(j * w for j, w in zip(prefix, weights))
+    acc_c = sum(j * c for j, c in zip(prefix, costs))
+    top = whi - acc_w
+    layer = _convolve(tables[k + 1], weights[k], lo, hi, costs[k], top)
     best = _INF
-    for w in range(max(wlo, 0), whi + 1):
-        v = dp[0][w]
+    for w in range(max(wlo - acc_w, 0), top + 1):
+        v = layer[w]
         if v is not _INF and (best is _INF or v < best):
             best = v
     if best is _INF:
         return None
+    best += acc_c
 
-    prof: list[int] = []
-    acc_w = 0
-    acc_c = 0
-    for k in range(t):
-        arr = dp[k + 1]
-        chosen = None
-        for j in range(los[k], his[k] + 1):
-            w_used = acc_w + j * weights[k]
-            if w_used > whi:
-                break
-            target = best - acc_c - j * costs[k]
-            if target < 0 and costs[k] > 0:
-                break
-            lo_need = max(wlo - w_used, 0)
-            hi_need = whi - w_used
-            found = False
-            for w in range(lo_need, hi_need + 1):
-                if arr[w] is not _INF and arr[w] == target:
-                    found = True
-                    break
-            if found:
-                chosen = j
-                break
-        if chosen is None:
-            raise OracleStall("reconstruction failed")  # pragma: no cover
-        prof.append(chosen)
-        acc_w += chosen * weights[k]
-        acc_c += chosen * costs[k]
+    prof = list(prefix)
+    for m in range(k, len(weights)):
+        lo_m, hi_m = (lo, hi) if m == k else (0, counts[m])
+        j = _smallest_count(tables[m + 1], weights[m], costs[m], lo_m, hi_m,
+                            best - acc_c, wlo - acc_w, whi - acc_w)
+        if j is None:
+            raise OracleInvariantError(
+                f"no count of item {m} completes the cheapest cost {best}")
+        prof.append(j)
+        acc_w += j * weights[m]
+        acc_c += j * costs[m]
     return best, tuple(prof)
+
+
+def _heap_min_cost(weights: Sequence[int], counts: Sequence[int], costs: Sequence[int],
+                   wlo: int, whi: int, accept: Callable[[tuple[int, ...]], bool]):
+    """``min_cost_selection`` by the knapsack DP and exclusion partitions.
+
+    A box is a fixed prefix, a count range [lo, hi] for the next item k and
+    free later items.  Partitioning a box around its rejected candidate
+    gives, for each m >= k, boxes of the same shape with item m next, so
+    every box reads the one set of suffix tables.
+    """
+    tables = _suffix_tables(weights, counts, costs, whi)
+    heap = []
+    root = _box_min_cost(tables, weights, counts, costs, (), 0, counts[0], wlo, whi)
+    if root is not None:
+        heap.append((root[0], root[1], 0, 0, counts[0]))
+    pops = 0
+    while heap:
+        # boxes are disjoint, so no two entries tie on (cost, prof)
+        cost, prof, k, lo, hi = heapq.heappop(heap)
+        if accept(prof):
+            return cost, prof
+        pops += 1
+        if pops > _MAX_POPS:
+            raise OracleStall(f"exceeded {_MAX_POPS} rejected candidates")
+        for m in range(k, len(weights)):
+            lo_m, hi_m = (lo, hi) if m == k else (0, counts[m])
+            for new_lo, new_hi in ((lo_m, prof[m] - 1), (prof[m] + 1, hi_m)):
+                if new_lo > new_hi:
+                    continue
+                sub = _box_min_cost(tables, weights, counts, costs, prof[:m],
+                                    new_lo, new_hi, wlo, whi)
+                if sub is not None:
+                    heapq.heappush(heap, (sub[0], sub[1], m, new_lo, new_hi))
+    return None
+
+
+def _scan_min_cost(weights: Sequence[int], counts: Sequence[int], costs: Sequence[int],
+                   wlo: int, whi: int, accept: Callable[[tuple[int, ...]], bool]):
+    """``min_cost_selection`` by listing the whole count lattice: the
+    selections with weight in [wlo, whi] in ascending (cost, counts) order,
+    under the same rejection budget as the partition search."""
+    rows = [(0, 0, ())]  # (cost, weight, counts)
+    for omega, cost, count in zip(weights, costs, counts):
+        rows = [(c + j * cost, w + j * omega, vec + (j,))
+                for c, w, vec in rows for j in range(count + 1)
+                if w + j * omega <= whi]
+    candidates = sorted((c, vec) for c, w, vec in rows if w >= wlo)
+    for rejected, (cost, vec) in enumerate(candidates):
+        if accept(vec):
+            return cost, vec
+        if rejected >= _MAX_POPS:
+            raise OracleStall(f"exceeded {_MAX_POPS} rejected candidates")
+    return None
 
 
 def min_cost_selection(weights: Sequence[int], counts: Sequence[int], costs: Sequence[int],
@@ -388,39 +483,26 @@ def min_cost_selection(weights: Sequence[int], counts: Sequence[int], costs: Seq
                        accept: Callable[[tuple[int, ...]], bool]):
     """Cheapest acceptable selection with total weight in [wlo, whi].
 
-    ``accept`` filters the count vectors that may be returned.  Candidates
-    are generated in ascending (cost, counts) order by partitioning the
-    count box around each rejected solution, so the first acceptable
-    candidate is optimal.  Raises ``OracleStall`` after ``_MAX_POPS``
-    rejected candidates.
+    Weights are positive integers, costs integers; item k is taken between
+    zero and ``counts[k]`` times.  ``accept`` filters the count vectors that
+    may be returned.  The answer is the acceptable selection with the
+    lexicographically smallest (cost, counts); None if there is none.
+    Raises ``OracleStall`` after ``_MAX_POPS`` rejected candidates.
+
+    Candidates come out in ascending (cost, counts) order in one of two
+    ways, whichever touches fewer entries: when the count lattice,
+    prod(counts[k] + 1), is no larger than the t * (whi + 1) entries of the
+    DP tables, it is listed and sorted outright; otherwise the knapsack DP
+    over total weight builds the suffix tables once and each rejected
+    candidate's box is partitioned into sub-boxes that cost one new DP
+    layer each.
     """
+    counts = [int(c) for c in counts]
     t = len(weights)
-    init = _box_min_cost(weights, [0] * t, [int(c) for c in counts], costs, wlo, whi)
-    heap = []
-    if init is not None:
-        cost, prof = init
-        heap = [(cost, prof, tuple([0] * t), tuple(int(c) for c in counts))]
-    pops = 0
-    while heap:
-        cost, prof, los, his = heapq.heappop(heap)
-        if accept(prof):
-            return cost, prof
-        pops += 1
-        if pops > _MAX_POPS:
-            raise OracleStall(f"exceeded {_MAX_POPS} rejected candidates")
-        for k in range(t):
-            for new_lo, new_hi in (
-                (los[k], prof[k] - 1),
-                (prof[k] + 1, his[k]),
-            ):
-                if new_lo > new_hi:
-                    continue
-                clos = list(prof[:k]) + [new_lo] + list(los[k + 1:])
-                chis = list(prof[:k]) + [new_hi] + list(his[k + 1:])
-                sub = _box_min_cost(weights, clos, chis, costs, wlo, whi)
-                if sub is not None:
-                    heapq.heappush(heap, (sub[0], sub[1], tuple(clos), tuple(chis)))
-    return None
+    # the partition search needs an item to restrict, so t == 0 is scanned
+    scan = t == 0 or math.prod(c + 1 for c in counts) <= t * (whi + 1)
+    search = _scan_min_cost if scan else _heap_min_cost
+    return search(weights, counts, costs, wlo, whi, accept)
 
 
 def min_winning_weight(rep: Representation) -> int:

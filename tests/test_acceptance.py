@@ -131,6 +131,13 @@ def test_criterion_5_flagship():
     assert not ok and witness is None
     finish("criterion 5: 900-player game, x* = weights, condition holds, inhomogeneous")
 
+    finish = _timed(5.0)
+    rep = representation(15000, [4] * 3000 + [3] * 3000 + [2] * 3000)
+    assert coincidence_report(rep).holds
+    res = nucleolus(rep, engine="typed")
+    assert res.x_star == tuple(rep.normalize().to_input_order())
+    finish("criterion 5: 9000-player game, x* = weights")
+
 
 # -- criterion 6: randomized property suite --------------------------------------
 

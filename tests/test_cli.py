@@ -1,6 +1,7 @@
 import json
 
 import nucleo.cli
+import nucleo.coalitions
 from nucleo.cli import main
 from nucleo.nucleolus import SolverError
 
@@ -47,6 +48,15 @@ def test_solve_internal_error_exit_code(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "error: internal invariant failed: stage count exceeded the dimension bound\n"
+
+    # a knapsack reconstruction that fails is a bug, not an oracle stall:
+    # the solver must not fall back to its full scan
+    monkeypatch.undo()
+    monkeypatch.setattr(nucleo.coalitions, "_smallest_count", lambda *args: None)
+    code, out, err = run(capsys, "solve", "--engine", "typed", "50; 10*4 10*3 10*2")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal invariant failed: no count of item 0 completes")
 
 
 def test_solve_json_round_trip(capsys):

@@ -1,18 +1,28 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nucleo.coalitions as coalitions
 from nucleo.coalitions import (
+    _MAX_POPS,
     DimensionMismatch,
     EnumerationLimit,
+    OracleInvariantError,
+    OracleStall,
+    _box_min_cost,
+    _heap_min_cost,
+    _scan_min_cost,
+    _suffix_tables,
     all_profiles,
     excess,
     is_minimal_winning_profile,
     minimal_winning_coalitions,
     minimal_winning_count_vectors,
     minimal_winning_profiles,
+    min_cost_selection,
     ordered_excess_vector,
     reachable_weights,
 )
@@ -272,3 +282,106 @@ def test_reachable_weights_bitset():
     assert reachable == {0, 1, 2, 3, 4, 5}
     bits = reachable_weights([4, 3], [2, 1])
     assert {w for w in range(12) if bits >> w & 1} == {0, 3, 4, 7, 8, 11}
+
+
+# -- min_cost_selection against a brute lexicographic minimum -------------------
+
+
+def lattice(counts):
+    return itertools.product(*(range(c + 1) for c in counts))
+
+
+def in_window(weights, counts, wlo, whi):
+    return [vec for vec in lattice(counts)
+            if wlo <= sum(j * w for j, w in zip(vec, weights)) <= whi]
+
+
+def brute_min_cost(weights, counts, costs, wlo, whi, accept):
+    return min(((sum(j * c for j, c in zip(vec, costs)), vec)
+                for vec in in_window(weights, counts, wlo, whi) if accept(vec)),
+               default=None)
+
+
+def random_selection(rng, t, top_weight):
+    weights = [rng.randint(1, top_weight) for _ in range(t)]
+    counts = [rng.randint(1, 3) for _ in range(t)]
+    costs = [rng.choice((0, 0, rng.randint(1, 4), rng.randint(1, 40))) for _ in range(t)]
+    total = sum(w * c for w, c in zip(weights, counts))
+    wlo = 0 if rng.random() < 0.4 else rng.randint(1, total)
+    whi = rng.randint(wlo, total) if rng.random() < 0.5 else total
+    # reject the cheapest few candidates, so partition sub-boxes are searched,
+    # and a few more anywhere in the window
+    window = sorted((sum(j * c for j, c in zip(vec, costs)), vec)
+                    for vec in in_window(weights, counts, wlo, whi))
+    rejected = {vec for _, vec in window[:rng.randint(0, 8)]}
+    rejected |= {vec for _, vec in rng.sample(window, min(3, len(window)))}
+    return weights, counts, costs, wlo, whi, lambda vec: vec not in rejected
+
+
+@pytest.mark.parametrize("search", [_scan_min_cost, _heap_min_cost, min_cost_selection])
+def test_min_cost_selection_matches_brute_lexicographic_minimum(search):
+    rng = random.Random(9091)
+    for _ in range(150):
+        weights, counts, costs, wlo, whi, accept = random_selection(
+            rng, rng.randint(1, 5), rng.choice((3, 12, 200)))
+        assert search(weights, counts, costs, wlo, whi, accept) == brute_min_cost(
+            weights, counts, costs, wlo, whi, accept)
+
+
+def test_min_cost_selection_breaks_cost_ties_by_counts():
+    # all costs zero over a wide window: every selection ties, so the answer
+    # is the lexicographically smallest count vector of the window
+    weights, counts, costs = [5, 3, 2], [2, 3, 2], [0, 0, 0]
+    for search in (_scan_min_cost, _heap_min_cost):
+        assert search(weights, counts, costs, 7, 30, lambda vec: True) == (0, (0, 1, 2))
+        assert search(weights, counts, costs, 7, 30,
+                      lambda vec: vec[0] > 0) == (0, (1, 0, 1))
+    # costs proportional to weights: every selection of one weight ties
+    weights, counts, costs = [6, 4, 2], [2, 2, 3], [3, 2, 1]
+    for search in (_scan_min_cost, _heap_min_cost):
+        assert search(weights, counts, costs, 8, 8, lambda vec: True) == (4, (0, 1, 2))
+        assert search(weights, counts, costs, 8, 8,
+                      lambda vec: vec != (0, 1, 2)) == (4, (0, 2, 0))
+
+
+def test_min_cost_selection_paths_share_the_rejection_budget():
+    weights, counts, costs = [1, 1, 1], [9, 9, 9], [5, 3, 2]
+    order = sorted((sum(j * c for j, c in zip(vec, costs)), vec)
+                   for vec in in_window(weights, counts, 0, 27))
+    for rank, stalls in ((_MAX_POPS, False), (_MAX_POPS + 1, True)):
+        cost, wanted = order[rank]
+        for search in (_scan_min_cost, _heap_min_cost):
+            if stalls:
+                with pytest.raises(OracleStall):
+                    search(weights, counts, costs, 0, 27, lambda vec: vec == wanted)
+            else:
+                assert search(weights, counts, costs, 0, 27,
+                              lambda vec: vec == wanted) == (cost, wanted)
+    # fewer candidates than the budget, none accepted: no answer, no stall
+    for search in (_scan_min_cost, _heap_min_cost):
+        assert search([1, 1], [9, 9], [1, 1], 0, 18, lambda vec: False) is None
+
+
+def test_min_cost_selection_scans_when_the_lattice_is_smaller(monkeypatch):
+    calls = []
+    monkeypatch.setattr(coalitions, "_scan_min_cost", lambda *a: calls.append("scan"))
+    monkeypatch.setattr(coalitions, "_heap_min_cost", lambda *a: calls.append("heap"))
+    accept = lambda vec: True
+    # 2^8 = 256 selections against 8 * 5001 table entries
+    min_cost_selection([600] * 8, [1] * 8, [1] * 8, 2500, 5000, accept)
+    # 301^3 selections against 3 * 3601 table entries
+    min_cost_selection([4, 3, 2], [300] * 3, [1] * 3, 1500, 3600, accept)
+    # 5 selections against 1 * 5 table entries, then against 1 * 4
+    min_cost_selection([1], [4], [1], 0, 4, accept)
+    min_cost_selection([1], [4], [1], 0, 3, accept)
+    assert calls == ["scan", "heap", "scan", "heap"]
+
+
+def test_reconstruction_failure_is_an_invariant_error():
+    weights, counts, costs = [2, 3], [1, 1], [5, 7]
+    tables = _suffix_tables(weights, counts, costs, 5)
+    assert _box_min_cost(tables, weights, counts, costs, (), 0, 1, 3, 5) == (7, (0, 1))
+    tables[1][3] = 1  # cheaper than any selection of weight 3
+    with pytest.raises(OracleInvariantError):
+        _box_min_cost(tables, weights, counts, costs, (), 0, 1, 3, 5)
+    assert not issubclass(OracleInvariantError, OracleStall)

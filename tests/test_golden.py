@@ -36,6 +36,11 @@ GAMES = (
     "21 ; 7 1 8 7 2 0",
     "29 ; 9 2 8 2 5 3 3",
     "40 ; 9 8 7 7 1 9 2",
+    # n = 8 with total weight near 5000: the oracle's lattice scan is
+    # cheaper than its weight DP here
+    "2389; 547 909 228 205 344 882 427 1235",
+    # the 9000-player flagship: the oracle's weight DP with reused tables
+    "15000; 3000*4 3000*3 3000*2",
 )
 
 
