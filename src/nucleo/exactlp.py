@@ -1,28 +1,41 @@
 """Exact rational linear programming via fraction-free two-phase simplex.
 
-Every quantity is an exact rational.  Internally the tableau is kept as an
-integer matrix ``T`` together with a scalar divisor ``den`` such that the
-true simplex tableau is ``T / den`` (fraction-free pivoting); each pivot
-performs only integer multiplications and exact divisions, which is much
-faster than per-entry ``Fraction`` normalization.  Bland's rule is used for
-both entering and leaving variables, so the solver cannot cycle and is
-fully deterministic.
+Programs take exact numbers only: ``int`` and ``Fraction`` coefficients,
+right-hand sides, objective entries and bounds are kept as given, and a
+``float`` is refused with ``MalformedProgram`` (it would enter as its binary
+expansion).  The internal standard form is built in integer arithmetic: each
+row is scaled by the least common multiple of its denominators, and flipped
+when its right-hand side is negative.
 
-For every optimal solve a dual certificate is extracted from the identity
-columns of the initial basis and verified against the internal standard
-form: dual feasibility and equality of primal and dual objective values are
-asserted before the solution is returned.
+The tableau is an integer matrix ``T`` with a scalar divisor ``den`` such
+that the true simplex tableau is ``T / den`` (fraction-free pivoting); each
+pivot performs only integer multiplications and exact divisions, and every
+division is checked to be exact.  Rows are stored sparsely, as
+``{column: nonzero entry}``, and a pivot touches nonzeros only.  The
+artificial column of a ``>=`` row is not stored: it starts as minus the
+row's surplus column and row operations keep it so, so it is read as the
+negated surplus column.  Bland's rule is used for both entering and leaving
+variables, so the solver cannot cycle and is fully deterministic.
+
+For every optimal solve a dual certificate is read from the reduced costs
+of the identity columns of the initial basis and verified against the
+internal standard form in integers scaled by ``|den|`` and the objective
+scale: primal feasibility, dual signs, dual feasibility and equality of the
+primal and dual objective values are asserted before the solution is
+returned.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
+_FLIPPED = {LE: GE, GE: LE, EQ: EQ}
 
 
 class MalformedProgram(ValueError):
@@ -33,19 +46,44 @@ class SolverInternalError(RuntimeError):
     """The tableau reached a state the algorithm's invariants forbid."""
 
 
+def _exact(v):
+    """``v`` as an exact number: ``int`` and ``Fraction`` pass unchanged."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    if isinstance(v, numbers.Rational):
+        return Fraction(v)
+    if isinstance(v, numbers.Real):
+        raise MalformedProgram(f"inexact number {v!r}; use int or Fraction")
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError) as exc:
+        raise MalformedProgram(f"not a number: {v!r}") from exc
+
+
+def _exact_bounds(bounds, num_vars: int, name: str) -> tuple:
+    out = tuple(None if b is None else _exact(b) for b in bounds)
+    if len(out) != num_vars:
+        raise MalformedProgram(f"{name} length mismatch")
+    return out
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple
     relation: str
-    rhs: Fraction
+    rhs: int | Fraction
+
+    def __post_init__(self):
+        if self.relation not in _RELATIONS:
+            raise MalformedProgram(f"unknown relation {self.relation!r}")
+        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
+        object.__setattr__(self, "rhs", _exact(self.rhs))
 
     @staticmethod
     def make(coeffs: Sequence, relation: str, rhs) -> "LinearConstraint":
-        return LinearConstraint(
-            coeffs=tuple(Fraction(c) for c in coeffs),
-            relation=relation,
-            rhs=Fraction(rhs),
-        )
+        return LinearConstraint(coeffs=tuple(coeffs), relation=relation, rhs=rhs)
 
 
 @dataclass
@@ -54,10 +92,11 @@ class ExactLinearProgram:
 
     ``lower_bounds`` defaults to 0 for every variable; ``None`` entries mean
     the variable is free.  ``upper_bounds`` defaults to no upper bound.
+    Every number is an ``int`` or a ``Fraction``.
     """
 
     num_vars: int
-    objective: tuple[Fraction, ...]
+    objective: tuple
     sense: str = "min"
     constraints: list[LinearConstraint] = field(default_factory=list)
     lower_bounds: tuple | None = None
@@ -66,39 +105,27 @@ class ExactLinearProgram:
     def __post_init__(self):
         if self.num_vars < 1:
             raise MalformedProgram("at least one variable required")
-        self.objective = tuple(Fraction(c) for c in self.objective)
+        self.objective = tuple(_exact(c) for c in self.objective)
         if len(self.objective) != self.num_vars:
             raise MalformedProgram("objective length does not match variable count")
         if self.sense not in ("min", "max"):
             raise MalformedProgram(f"unknown sense {self.sense!r}")
         if self.lower_bounds is None:
-            self.lower_bounds = tuple(Fraction(0) for _ in range(self.num_vars))
+            self.lower_bounds = (0,) * self.num_vars
         else:
-            self.lower_bounds = tuple(
-                None if b is None else Fraction(b) for b in self.lower_bounds
-            )
-            if len(self.lower_bounds) != self.num_vars:
-                raise MalformedProgram("lower_bounds length mismatch")
+            self.lower_bounds = _exact_bounds(self.lower_bounds, self.num_vars, "lower_bounds")
         if self.upper_bounds is None:
-            self.upper_bounds = tuple(None for _ in range(self.num_vars))
+            self.upper_bounds = (None,) * self.num_vars
         else:
-            self.upper_bounds = tuple(
-                None if b is None else Fraction(b) for b in self.upper_bounds
-            )
-            if len(self.upper_bounds) != self.num_vars:
-                raise MalformedProgram("upper_bounds length mismatch")
+            self.upper_bounds = _exact_bounds(self.upper_bounds, self.num_vars, "upper_bounds")
         for con in self.constraints:
             if len(con.coeffs) != self.num_vars:
                 raise MalformedProgram("constraint coefficient length mismatch")
-            if con.relation not in _RELATIONS:
-                raise MalformedProgram(f"unknown relation {con.relation!r}")
 
     def add_constraint(self, coeffs: Sequence, relation: str, rhs) -> None:
         con = LinearConstraint.make(coeffs, relation, rhs)
         if len(con.coeffs) != self.num_vars:
             raise MalformedProgram("constraint coefficient length mismatch")
-        if con.relation not in _RELATIONS:
-            raise MalformedProgram(f"unknown relation {con.relation!r}")
         self.constraints.append(con)
 
 
@@ -125,91 +152,75 @@ def dump_program(lp: ExactLinearProgram) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _scaled(v, scale: int) -> int:
+    """``v * scale`` for an ``int`` or ``Fraction`` ``v`` whose denominator
+    divides ``scale``."""
+    return v.numerator * (scale // v.denominator)
+
+
 class _StandardForm:
-    """min c.z  s.t.  A z = b, z >= 0, carrying the mapping back to x."""
+    """min c.z  s.t.  A z = b, z >= 0 in integers, carrying the mapping back to x."""
 
     def __init__(self, lp: ExactLinearProgram):
         self.lp = lp
         n = lp.num_vars
         # variable mapping: x_j = offset_j + z_{pos_j} (- z_{neg_j} when free)
-        self.offsets: list[Fraction] = []
+        self.offsets: list = []
         self.pos_col: list[int] = []
         self.neg_col: list[int] = []
         col = 0
-        for j in range(n):
-            lb = lp.lower_bounds[j]
-            if lb is None:
-                self.offsets.append(Fraction(0))
-                self.pos_col.append(col)
-                self.neg_col.append(col + 1)
-                col += 2
-            else:
-                self.offsets.append(lb)
-                self.pos_col.append(col)
-                self.neg_col.append(-1)
-                col += 1
+        for lb in lp.lower_bounds:
+            self.offsets.append(0 if lb is None else lb)
+            self.pos_col.append(col)
+            self.neg_col.append(col + 1 if lb is None else -1)
+            col += 2 if lb is None else 1
         self.num_z_structural = col
 
-        rows: list[tuple[list[Fraction], str, Fraction]] = []
-        self.row_origin: list[tuple[str, int]] = []  # ("con", idx) | ("ub", var)
-        for idx, con in enumerate(lp.constraints):
-            rows.append((list(con.coeffs), con.relation, con.rhs))
-            self.row_origin.append(("con", idx))
-        for j in range(n):
-            ub = lp.upper_bounds[j]
+        # the constraints, in order, then one x_j <= ub row per upper bound
+        rows = [(con.coeffs, con.relation, con.rhs) for con in lp.constraints]
+        for j, ub in enumerate(lp.upper_bounds):
             if ub is not None:
-                coeffs = [Fraction(0)] * n
-                coeffs[j] = Fraction(1)
-                rows.append((coeffs, LE, ub))
-                self.row_origin.append(("ub", j))
+                unit = [0] * n
+                unit[j] = 1
+                rows.append((unit, LE, ub))
 
-        # objective over z (sense converted to min); constant offset recorded
-        sign = 1 if lp.sense == "min" else -1
-        cz = [Fraction(0)] * self.num_z_structural
-        self.obj_offset = Fraction(0)
-        for j in range(n):
-            c = sign * lp.objective[j]
-            self.obj_offset += c * self.offsets[j]
-            cz[self.pos_col[j]] += c
-            if self.neg_col[j] >= 0:
-                cz[self.neg_col[j]] -= c
-        self.obj_sign = sign
-
-        # rows over z with integer scaling; row_scale/row_flip map duals back
-        self.int_rows: list[list[int]] = []
+        # rows over z scaled to integers; row_scale (negative when the row
+        # was flipped to a nonnegative right-hand side) maps duals back
+        self.int_rows: list[dict[int, int]] = []  # sparse: z column -> coefficient
         self.int_rhs: list[int] = []
         self.row_relation: list[str] = []
-        self.row_scale: list[Fraction] = []
+        self.row_scale: list[int] = []
+        offsets, pos_col, neg_col = self.offsets, self.pos_col, self.neg_col
         for coeffs, rel, rhs in rows:
-            zc = [Fraction(0)] * self.num_z_structural
-            shift = Fraction(0)
-            for j in range(n):
-                c = coeffs[j]
-                if c == 0:
-                    continue
-                shift += c * self.offsets[j]
-                zc[self.pos_col[j]] += c
-                if self.neg_col[j] >= 0:
-                    zc[self.neg_col[j]] -= c
-            b = rhs - shift
-            denom = b.denominator
-            for c in zc:
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
-            scale = Fraction(denom)
-            if b * denom < 0:
+            terms = [(j, c) for j, c in enumerate(coeffs) if c]
+            b = rhs
+            for j, c in terms:
+                if offsets[j]:
+                    b -= c * offsets[j]
+            scale = math.lcm(b.denominator, *[c.denominator for _, c in terms])
+            if b < 0:
                 scale = -scale
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            self.int_rows.append([int(c * scale) for c in zc])
-            self.int_rhs.append(int(b * scale))
+                rel = _FLIPPED[rel]
+            row = {}
+            for j, c in terms:
+                v = _scaled(c, scale)
+                row[pos_col[j]] = v
+                if neg_col[j] >= 0:
+                    row[neg_col[j]] = -v
+            self.int_rows.append(row)
+            self.int_rhs.append(_scaled(b, scale))
             self.row_relation.append(rel)
             self.row_scale.append(scale)
 
-        # scale objective to integers
-        denom = 1
-        for c in cz:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        self.int_obj = [int(c * denom) for c in cz]
-        self.obj_scale = Fraction(denom)
+        # objective over z (sense converted to min), scaled to integers
+        self.obj_sign = 1 if lp.sense == "min" else -1
+        self.obj_scale = math.lcm(*[c.denominator for c in lp.objective])
+        self.int_obj = [0] * self.num_z_structural
+        for j, c in enumerate(lp.objective):
+            v = self.obj_sign * _scaled(c, self.obj_scale)
+            self.int_obj[pos_col[j]] = v
+            if neg_col[j] >= 0:
+                self.int_obj[neg_col[j]] = -v
 
     def x_from_z(self, z: Sequence[Fraction]) -> tuple[Fraction, ...]:
         out = []
@@ -221,17 +232,59 @@ class _StandardForm:
         return tuple(out)
 
 
+def _combine(row: dict, f: int, prow: dict, piv: int, den: int) -> dict:
+    """Fraction-free update ``(row * piv - f * prow) / den`` on nonzeros,
+    checking that every division is exact."""
+    out = {}
+    if f:
+        for j, pv in prow.items():
+            v = row.get(j)
+            num = v * piv - f * pv if v else -f * pv
+            if num:
+                q, r = divmod(num, den)
+                if r:
+                    raise SolverInternalError("fraction-free pivot divisibility failed")
+                out[j] = q
+        for j, v in row.items():
+            if j not in prow:
+                q, r = divmod(v * piv, den)
+                if r:
+                    raise SolverInternalError("fraction-free pivot divisibility failed")
+                out[j] = q
+    else:
+        for j, v in row.items():
+            q, r = divmod(v * piv, den)
+            if r:
+                raise SolverInternalError("fraction-free pivot divisibility failed")
+            out[j] = q
+    return out
+
+
+def _combine_rhs(v: int, f: int, pv: int, piv: int, den: int) -> int:
+    q, r = divmod(v * piv - f * pv, den)
+    if r:
+        raise SolverInternalError("fraction-free pivot divisibility failed")
+    return q
+
+
 class _Tableau:
-    """Fraction-free simplex tableau.
+    """Fraction-free simplex tableau with sparse rows.
 
     ``T[i][j] / den`` is the true tableau entry; ``den`` may take either
     sign, so all comparisons go through its sign.  Column layout:
     structural z | slack/surplus | artificial, with the right-hand side
-    stored separately in ``b``.
+    stored separately in ``b``.  Each row ``T[i]`` and the reduced-cost row
+    ``obj`` are ``{column: nonzero entry}``.
+
+    The artificial of a ``>=`` row is listed in ``mirror`` with that row's
+    surplus column and has no stored entries: its column is minus the
+    surplus column in every row, and its reduced cost is minus the
+    surplus's minus ``art_cost * den``, where ``art_cost`` is the cost of
+    every artificial in the installed objective.  Both identities hold
+    initially and are preserved by every row operation.
     """
 
     def __init__(self, sf: _StandardForm):
-        self.sf = sf
         m = len(sf.int_rows)
         nz = sf.num_z_structural
 
@@ -246,24 +299,26 @@ class _Tableau:
             if rel in (EQ, GE):
                 self.art_col[i] = ncols
                 ncols += 1
+        self.mirror = {self.art_col[i]: self.slack_col[i]
+                       for i, rel in enumerate(sf.row_relation) if rel == GE}
 
         self.m, self.ncols, self.nz = m, ncols, nz
-        self.T = [[0] * ncols for _ in range(m)]
-        self.b = [0] * m
+        self.T: list[dict[int, int]] = []
         for i in range(m):
-            row = self.T[i]
-            row[:nz] = sf.int_rows[i]
+            row = dict(sf.int_rows[i])
             rel = sf.row_relation[i]
             if rel == LE:
                 row[self.slack_col[i]] = 1
             elif rel == GE:
                 row[self.slack_col[i]] = -1
-            if self.art_col[i] >= 0:
+            else:
                 row[self.art_col[i]] = 1
-            self.b[i] = sf.int_rhs[i]
+            self.T.append(row)
+        self.b = list(sf.int_rhs)
         self.den = 1
-        self.obj = [0] * ncols
+        self.obj: dict[int, int] = {}
         self.obj_b = 0
+        self.art_cost = 0
         # initial basis: slack for <= rows, artificial otherwise
         self.basis = [
             self.art_col[i] if self.art_col[i] >= 0 else self.slack_col[i]
@@ -274,105 +329,112 @@ class _Tableau:
             if c >= 0:
                 self.is_artificial[c] = True
 
+    def _stored(self, j: int) -> tuple[int, int]:
+        """The stored column that holds column ``j``, and the sign to read it with."""
+        s = self.mirror.get(j)
+        return (j, 1) if s is None else (s, -1)
+
+    def reduced_cost(self, j: int) -> int:
+        s = self.mirror.get(j)
+        if s is None:
+            return self.obj.get(j, 0)
+        return -self.obj.get(s, 0) - self.art_cost * self.den
+
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, prow: int, pcol: int) -> None:
-        T, b, obj = self.T, self.b, self.obj
+        T, b = self.T, self.b
         den = self.den
-        piv = T[prow][pcol]
+        col, sign = self._stored(pcol)
+        prow_vals, pb = T[prow], b[prow]
+        piv = prow_vals.get(col, 0) * sign
         if piv == 0:
             raise SolverInternalError("zero pivot")
-        prow_vals = T[prow]
-
-        def update_row(row: list, rhs: int, f: int) -> int:
-            for j in range(self.ncols):
-                v = row[j]
-                pv = prow_vals[j]
-                if f and pv:
-                    num = v * piv - f * pv
-                elif v:
-                    num = v * piv
-                else:
-                    continue
-                q, r = divmod(num, den)
-                if r:
-                    raise SolverInternalError("fraction-free pivot divisibility failed")
-                row[j] = q
-            num = rhs * piv - f * b[prow]
-            q, r = divmod(num, den)
-            if r:
-                raise SolverInternalError("fraction-free pivot divisibility failed")
-            return q
-
-        for i in range(self.m):
-            if i == prow:
-                continue
-            row = T[i]
-            b[i] = update_row(row, b[i], row[pcol])
-        self.obj_b = update_row(obj, self.obj_b, obj[pcol])
+        f_obj = self.reduced_cost(pcol)
+        for i, row in enumerate(T):
+            f = row.get(col, 0) * sign
+            if i == prow or (not f and piv == den):
+                continue  # a row the pivot column misses is scaled by piv / den
+            T[i] = _combine(row, f, prow_vals, piv, den)
+            b[i] = _combine_rhs(b[i], f, pb, piv, den)
+        self.obj = _combine(self.obj, f_obj, prow_vals, piv, den)
+        self.obj_b = _combine_rhs(self.obj_b, f_obj, pb, piv, den)
         self.den = piv
         self.basis[prow] = pcol
 
-    def set_objective(self, costs: Sequence[int]) -> None:
-        """Install objective row  obj_j = c_B . T[:,j] - c_j * den  (scaled)."""
+    def set_objective(self, costs: Sequence[int], art_cost: int) -> None:
+        """Install objective row  obj_j = c_B . T[:,j] - c_j * den  (scaled).
+
+        ``costs`` holds the structural costs and ``art_cost`` the cost of
+        every artificial; slacks cost nothing.
+        """
         den = self.den
-        cb = [costs[v] for v in self.basis]
-        for j in range(self.ncols):
-            s = -costs[j] * den
-            for i in range(self.m):
-                ci = cb[i]
-                if ci:
-                    s += ci * self.T[i][j]
-            self.obj[j] = s
-        s = 0
-        for i in range(self.m):
-            if cb[i]:
-                s += cb[i] * self.b[i]
-        self.obj_b = s
+        obj = {j: -c * den for j, c in enumerate(costs) if c}
+        if art_cost:
+            for c in self.art_col:
+                if c >= 0 and c not in self.mirror:
+                    obj[c] = -art_cost * den
+        obj_b = 0
+        for i, v in enumerate(self.basis):
+            cv = art_cost if self.is_artificial[v] else (costs[v] if v < self.nz else 0)
+            if cv:
+                for j, t in self.T[i].items():
+                    obj[j] = obj.get(j, 0) + cv * t
+                obj_b += cv * self.b[i]
+        self.obj = {j: v for j, v in obj.items() if v}
+        self.obj_b = obj_b
+        self.art_cost = art_cost
 
     # -- simplex loop --------------------------------------------------------
+
+    def _entering(self, sgn: int, allow_artificial_entering: bool) -> int:
+        """Bland: the lowest column with a positive reduced cost, or -1."""
+        is_art = self.is_artificial
+        enter = min((j for j, v in self.obj.items()
+                     if v * sgn > 0 and (allow_artificial_entering or not is_art[j])),
+                    default=-1)
+        if allow_artificial_entering and (enter < 0 or is_art[enter]):
+            # artificials follow every other column, so a stored artificial
+            # candidate only competes with the lower unstored ones; mirror
+            # lists them in increasing column order
+            for a in self.mirror:
+                if 0 <= enter < a:
+                    break
+                if self.reduced_cost(a) * sgn > 0:
+                    return a
+        return enter
 
     def run(self, allow_artificial_entering: bool) -> str:
         pivots = 0
         limit = 20000 + 500 * (self.m + self.ncols)
+        T, b, basis = self.T, self.b, self.basis
         while True:
             pivots += 1
             if pivots > limit:
                 raise SolverInternalError("pivot limit exceeded (cycling?)")
             sgn = 1 if self.den > 0 else -1
-            enter = -1
-            for j in range(self.ncols):
-                if self.is_artificial[j] and not allow_artificial_entering:
-                    continue
-                if self.obj[j] * sgn > 0:
-                    enter = j
-                    break
+            enter = self._entering(sgn, allow_artificial_entering)
             if enter < 0:
                 return "optimal"
-            leave = -1
+            col, sign = self._stored(enter)
+            leave, t_leave = -1, 0
             for i in range(self.m):
-                tij = self.T[i][enter]
+                tij = T[i].get(col, 0) * sign
                 if tij * sgn <= 0:
                     continue
                 if leave < 0:
-                    leave = i
+                    leave, t_leave = i, tij
                     continue
                 # compare b[i]/T[i][enter] with b[leave]/T[leave][enter]; both
                 # denominators share den's sign, so their product is positive
                 # and the cross-multiplied comparison is exact either way
-                lhs = self.b[i] * self.T[leave][enter]
-                rhs = self.b[leave] * tij
-                if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
-                    leave = i
+                lhs = b[i] * t_leave
+                rhs = b[leave] * tij
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, t_leave = i, tij
             if leave < 0:
                 return "unbounded"
             self._pivot(leave, enter)
-
-    def z_values(self) -> list[Fraction]:
-        vals = [Fraction(0)] * self.ncols
-        for i, v in enumerate(self.basis):
-            vals[v] = Fraction(self.b[i], self.den)
-        return vals
 
 
 def _drive_out_artificials(tab: _Tableau) -> list[int]:
@@ -381,13 +443,7 @@ def _drive_out_artificials(tab: _Tableau) -> list[int]:
     for i in range(tab.m):
         if not tab.is_artificial[tab.basis[i]]:
             continue
-        pcol = -1
-        for j in range(tab.ncols):
-            if tab.is_artificial[j]:
-                continue
-            if tab.T[i][j] != 0:
-                pcol = j
-                break
+        pcol = min((j for j in tab.T[i] if not tab.is_artificial[j]), default=-1)
         if pcol >= 0:
             tab._pivot(i, pcol)
         else:
@@ -398,85 +454,70 @@ def _drive_out_artificials(tab: _Tableau) -> list[int]:
 def _solve_phases(sf: _StandardForm):
     """Run phase 1 (if needed) and phase 2; returns (status, tab, dropped_rows)."""
     tab = _Tableau(sf)
-    need_phase1 = any(c >= 0 for c in tab.art_col)
     dropped: list[int] = []
-    if need_phase1:
-        costs = [1 if tab.is_artificial[j] else 0 for j in range(tab.ncols)]
-        tab.set_objective(costs)
+    if any(c >= 0 for c in tab.art_col):
+        tab.set_objective([0] * tab.nz, art_cost=1)
         status = tab.run(allow_artificial_entering=True)
         if status != "optimal":
             raise SolverInternalError("phase 1 cannot be unbounded")
-        if Fraction(tab.obj_b, tab.den) != 0:
+        if tab.obj_b != 0:
             return "infeasible", tab, dropped
         dropped = _drive_out_artificials(tab)
 
-    costs = [0] * tab.ncols
-    for j, c in enumerate(sf.int_obj):
-        costs[j] = c
-    tab.set_objective(costs)
+    tab.set_objective(sf.int_obj, art_cost=0)
     status = tab.run(allow_artificial_entering=False)
     return status, tab, dropped
 
 
-def _extract_duals(sf: _StandardForm, tab: _Tableau, dropped: list[int]):
-    """Duals for internal rows from identity-column reduced costs, mapped back."""
-    den = Fraction(tab.den)
-    internal = []
+def _certificate(tab: _Tableau, dropped: list[int]):
+    """The optimum as integers over one positive denominator ``d``:
+    ``(z, y, d)`` with ``z_j / d`` the structural values and
+    ``y_i / (d * obj_scale)`` the internal dual of row ``i``, read from the
+    reduced cost of the row's identity column."""
+    sgn = 1 if tab.den > 0 else -1
+    z = [0] * tab.nz
+    for i, v in enumerate(tab.basis):
+        if v < tab.nz:
+            z[v] = tab.b[i] * sgn
+    y = []
     for i in range(tab.m):
         if i in dropped:
-            internal.append(Fraction(0))
-            continue
-        if tab.art_col[i] >= 0:
-            y = Fraction(tab.obj[tab.art_col[i]]) / den
+            y.append(0)
         else:
-            y = Fraction(tab.obj[tab.slack_col[i]]) / den
-        internal.append(y)
-    # undo objective scaling: internal problem minimized obj_scale * (true c)
-    internal = [y / sf.obj_scale for y in internal]
-    return internal
+            col = tab.art_col[i] if tab.art_col[i] >= 0 else tab.slack_col[i]
+            y.append(tab.reduced_cost(col) * sgn)
+    return z, y, tab.den * sgn
 
 
-def _verify_optimal(sf: _StandardForm, tab: _Tableau, dropped: list[int],
-                    z: Sequence[Fraction], internal_duals: Sequence[Fraction]) -> None:
-    """Assert exact primal feasibility, dual feasibility and strong duality."""
-    # primal: every internal row holds with equality on its slack-adjusted form
-    for i in range(tab.m):
-        lhs = Fraction(0)
-        for j in range(sf.num_z_structural):
-            c = sf.int_rows[i][j]
-            if c:
-                lhs += c * z[j]
-        rel = sf.row_relation[i]
-        rhs = sf.int_rhs[i]
-        ok = lhs == rhs if rel == EQ else (lhs <= rhs if rel == LE else lhs >= rhs)
+def _verify_optimal(sf: _StandardForm, z: Sequence[int], y: Sequence[int], d: int) -> None:
+    """Assert exact primal feasibility, dual signs, dual feasibility and
+    strong duality of the certificate ``(z, y, d)`` from ``_certificate``,
+    each condition multiplied through by ``d`` or ``d * obj_scale`` (both
+    positive) so that it holds in integers."""
+    rows, rhs = sf.int_rows, sf.int_rhs
+    # primal: every internal row holds on z / d
+    for i, row in enumerate(rows):
+        lhs = sum(c * z[j] for j, c in row.items())
+        rel, target = sf.row_relation[i], rhs[i] * d
+        ok = lhs == target if rel == EQ else (lhs <= target if rel == LE else lhs >= target)
         if not ok:
             raise SolverInternalError("primal verification failed")
     # dual signs per row relation (internal rows, min problem)
-    for i, y in enumerate(internal_duals):
+    for i, yi in enumerate(y):
         rel = sf.row_relation[i]
-        if rel == LE and y > 0:
+        if (rel == LE and yi > 0) or (rel == GE and yi < 0):
             raise SolverInternalError("dual sign verification failed")
-        if rel == GE and y < 0:
-            raise SolverInternalError("dual sign verification failed")
-    # dual feasibility: reduced cost of every structural column >= 0
-    ctrue = [Fraction(c) / sf.obj_scale for c in sf.int_obj]
-    for j in range(sf.num_z_structural):
-        rc = ctrue[j]
-        for i, y in enumerate(internal_duals):
-            a = sf.int_rows[i][j]
-            if a:
-                rc -= y * a
-        if rc < 0:
-            raise SolverInternalError("dual feasibility verification failed")
-    # strong duality
-    primal = Fraction(0)
-    for j in range(sf.num_z_structural):
-        if ctrue[j]:
-            primal += ctrue[j] * z[j]
-    dual = Fraction(0)
-    for i, y in enumerate(internal_duals):
-        if y:
-            dual += y * sf.int_rhs[i]
+    # dual feasibility: reduced cost c_j - y.A_j of every structural column >= 0
+    reduced = [c * d for c in sf.int_obj]
+    for i, yi in enumerate(y):
+        if yi:
+            for j, a in rows[i].items():
+                reduced[j] -= yi * a
+    if any(rc < 0 for rc in reduced):
+        raise SolverInternalError("dual feasibility verification failed")
+    # strong duality: c.z = y.b
+    primal = sum(c * zj for c, zj in zip(sf.int_obj, z) if c)
+    dual = sum(yi * bi for yi, bi in zip(y, rhs) if yi)
     if primal != dual:
         raise SolverInternalError("strong duality verification failed")
 
@@ -490,19 +531,19 @@ def solve(lp: ExactLinearProgram) -> LpSolution:
     if status == "unbounded":
         return LpSolution(status="unbounded")
 
-    zfull = tab.z_values()
-    zs = [zfull[j] for j in range(sf.num_z_structural)]
-    internal_duals = _extract_duals(sf, tab, dropped)
-    _verify_optimal(sf, tab, dropped, zs, internal_duals)
+    z, y, d = _certificate(tab, dropped)
+    _verify_optimal(sf, z, y, d)
 
-    x = sf.x_from_z(zs)
+    x = sf.x_from_z([Fraction(v, d) for v in z])
     obj_value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
 
     # per-row scaling maps the internal dual to the original row; the sense
-    # flip for max problems is undone here as well
+    # flip for max problems is undone here as well.  The constraint rows come
+    # before the upper-bound rows.
+    dual_den = d * sf.obj_scale
     duals = tuple(
-        internal_duals[i] * sf.row_scale[i] * sf.obj_sign
-        for i, (kind, _) in enumerate(sf.row_origin) if kind == "con"
+        Fraction(y[i] * sf.row_scale[i] * sf.obj_sign, dual_den)
+        for i in range(len(lp.constraints))
     )
     return LpSolution(status="optimal", values=x, objective_value=obj_value, duals=duals)
 
@@ -511,7 +552,7 @@ def feasible(lp: ExactLinearProgram) -> tuple[bool, tuple[Fraction, ...] | None]
     """Phase-1 feasibility test; returns an exact witness point when feasible."""
     probe = ExactLinearProgram(
         num_vars=lp.num_vars,
-        objective=tuple(Fraction(0) for _ in range(lp.num_vars)),
+        objective=(0,) * lp.num_vars,
         sense="min",
         constraints=list(lp.constraints),
         lower_bounds=lp.lower_bounds,

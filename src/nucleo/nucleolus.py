@@ -308,15 +308,14 @@ def _solve_master(space: _ItemSpace, system: EchelonSystem, working: list):
     dim = space.dim
     lp = ExactLinearProgram(
         num_vars=dim + 1,
-        objective=tuple([Fraction(0)] * dim + [Fraction(1)]),
+        objective=(0,) * dim + (1,),
         sense="min",
         lower_bounds=tuple(list(space.lower_bounds) + [None]),
     )
     for row in system.rows:
-        lp.add_constraint(list(row[:dim]) + [Fraction(0)], "=", row[dim])
+        lp.add_constraint(list(row[:dim]) + [0], "=", row[dim])
     for vec in working:
-        lp.add_constraint([Fraction(j) for j in vec] + [Fraction(1)],
-                          ">=", Fraction(space.value(vec)))
+        lp.add_constraint(list(vec) + [1], ">=", space.value(vec))
     sol = solve(lp)
     if sol.status == "infeasible":
         raise NoImputation("the game admits no imputation")
@@ -347,8 +346,7 @@ def _optimize_over_face(space: _ItemSpace, system: EchelonSystem, working: list,
         for row in system.rows:
             lp.add_constraint(list(row[:dim]), "=", row[dim])
         for vec in working:
-            lp.add_constraint([Fraction(j) for j in vec], ">=",
-                              Fraction(space.value(vec)) - eps)
+            lp.add_constraint(list(vec), ">=", space.value(vec) - eps)
         sol = solve(lp)
         if sol.status != "optimal":
             raise SolverError(f"face LP returned {sol.status}")

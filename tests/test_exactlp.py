@@ -7,6 +7,12 @@ from nucleo.exactlp import (
     ExactLinearProgram,
     LinearConstraint,
     MalformedProgram,
+    SolverInternalError,
+    _certificate,
+    _solve_phases,
+    _StandardForm,
+    _Tableau,
+    _verify_optimal,
     dump_program,
     feasible,
     solve,
@@ -113,6 +119,37 @@ def test_malformed_programs_rejected():
         lp(1, [1], cons=[([1], "<>", 1)])
     with pytest.raises(MalformedProgram):
         lp(1, [1], sense="argmin")
+    # a float would enter as its binary expansion: 0.1 x >= 0.3 would
+    # "solve" to x = 10808639105689190/3602879701896397 instead of 3
+    with pytest.raises(MalformedProgram):
+        LinearConstraint.make([0.1], ">=", F(3, 10))
+    with pytest.raises(MalformedProgram):
+        LinearConstraint.make([F(1, 10)], ">=", 0.3)
+    with pytest.raises(MalformedProgram):
+        LinearConstraint([1, 2.0], "<=", 1)
+    with pytest.raises(MalformedProgram):
+        ExactLinearProgram(num_vars=1, objective=(0.1,))
+    with pytest.raises(MalformedProgram):
+        lp(1, [1], lb=(0.5,))
+    with pytest.raises(MalformedProgram):
+        lp(1, [1], ub=(1.5,))
+    prog = lp(1, [1])
+    with pytest.raises(MalformedProgram):
+        prog.add_constraint([0.1], ">=", 0.3)
+    assert prog.constraints == []
+
+
+def test_exact_inputs_keep_their_type():
+    con = LinearConstraint.make([1, F(1, 2), 0], "<=", 3)
+    assert [type(c) for c in con.coeffs] == [int, F, int]
+    assert type(con.rhs) is int
+    prog = ExactLinearProgram(num_vars=2, objective=(1, F(1, 3)),
+                              lower_bounds=(F(1, 2), None), upper_bounds=(4, None))
+    assert [type(c) for c in prog.objective] == [int, F]
+    assert prog.lower_bounds == (F(1, 2), None) and prog.upper_bounds == (4, None)
+    sol = solve(lp(1, [F(1, 10)], cons=[([F(1, 10)], ">=", F(3, 10))]))
+    assert sol.values == (F(3),) and sol.objective_value == F(3, 10)
+    assert all(type(v) is F for v in sol.values + sol.duals)
 
 
 def test_equality_with_free_variable():
@@ -208,3 +245,56 @@ def test_random_programs_solve_exactly(prog):
     assert sol.objective_value == sum(
         (c * v for c, v in zip(prog.objective, x)), F(0)
     )
+
+
+# -- the exactness checks fire --------------------------------------------------
+
+
+def test_zero_pivot_detected():
+    tab = _Tableau(_StandardForm(lp(2, [1, 1], cons=[([2, 1], "<=", 4)])))
+    del tab.T[0][0]  # the entry the pivot divides by is now zero
+    with pytest.raises(SolverInternalError, match="zero pivot"):
+        tab._pivot(0, 0)
+
+
+def test_pivot_divisibility_checked():
+    tab = _Tableau(_StandardForm(lp(2, [1, 1], cons=[([2, 1], "<=", 4),
+                                                      ([1, 3], "<=", 6)])))
+    tab._pivot(0, 0)
+    assert tab.den == 2 and tab.T[1][1] == 5
+    tab.T[1][1] = 6  # row 0 then updates its slack entry to (1*6 + 1) / 2
+    with pytest.raises(SolverInternalError, match="divisibility"):
+        tab._pivot(1, 1)
+
+
+def _certified(prog):
+    sf = _StandardForm(prog)
+    status, tab, dropped = _solve_phases(sf)
+    assert status == "optimal"
+    z, y, d = _certificate(tab, dropped)
+    _verify_optimal(sf, z, y, d)  # the untampered certificate passes
+    return sf, z, y, d
+
+
+# min x + y  s.t.  x + 2y >= 2, 3x + y >= 3: optimum (4/5, 3/5), duals (2/5, 1/5)
+TWO_GE = lp(2, [1, 1], cons=[([1, 2], ">=", 2), ([3, 1], ">=", 3)])
+
+
+def test_certificate_of_two_ge_rows():
+    sf, z, y, d = _certified(TWO_GE)
+    assert [F(v, d) for v in z] == [F(4, 5), F(3, 5)]
+    assert [F(v, d * sf.obj_scale) for v in y] == [F(2, 5), F(1, 5)]
+    assert solve(TWO_GE).duals == (F(2, 5), F(1, 5))
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda z, y: (z[:1] + [0], y), "primal verification failed"),
+    (lambda z, y: (z, [-y[0], y[1]]), "dual sign verification failed"),
+    (lambda z, y: (z, [2 * y[0], y[1]]), "dual feasibility verification failed"),
+    (lambda z, y: (z, [0, 0]), "strong duality verification failed"),
+])
+def test_tampered_certificate_rejected(tamper, message):
+    sf, z, y, d = _certified(TWO_GE)
+    bad_z, bad_y = tamper(list(z), list(y))
+    with pytest.raises(SolverInternalError, match=message):
+        _verify_optimal(sf, bad_z, bad_y, d)
