@@ -21,10 +21,11 @@ from .coalitions import EnumerationLimit, OracleInvariantError
 from .exactlp import SolverInternalError
 from .gameio import format_game, parse_game
 from .games import GameError, Representation
-from .linalg import InconsistentSystem
+from .linalg import InconsistentSystem, UnderdeterminedSystem
 from .nucleolus import DEFAULT_MAX_BRUTE_PLAYERS, SolverError, nucleolus
 from .theory import (
     DegenerateQuota,
+    HomogeneitySearchError,
     IdentityViolation,
     coincidence_report,
     distance_bound,
@@ -320,8 +321,8 @@ def main(argv=None) -> int:
         code, message = EXIT_LIMIT, str(exc)
     except ValueError as exc:  # every GameError, ParseError and NoImputation
         code, message = EXIT_INPUT, str(exc)
-    except (SolverError, SolverInternalError, IdentityViolation,
-            InconsistentSystem, OracleInvariantError) as exc:
+    except (SolverError, SolverInternalError, IdentityViolation, HomogeneitySearchError,
+            InconsistentSystem, UnderdeterminedSystem, OracleInvariantError) as exc:
         code, message = EXIT_INTERNAL, f"internal invariant failed: {exc}"
     print(f"error: {message}", file=sys.stderr)
     return code

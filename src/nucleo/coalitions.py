@@ -22,6 +22,7 @@ What an item is belongs to the caller: the solver's ``_ItemSpace`` (in
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -126,17 +127,8 @@ def all_profiles(rep: Representation, cap: int = 2_000_000) -> list[ProfileCoali
         size *= c + 1
     if size > cap:
         raise EnumerationLimit(f"profile lattice has {size} classes (cap {cap})")
-    out: list[ProfileCoalition] = []
-
-    def rec(k: int, acc: list[int]):
-        if k == table.t:
-            out.append(ProfileCoalition.of(rep, acc))
-            return
-        for j in range(table.counts[k] + 1):
-            rec(k + 1, acc + [j])
-
-    rec(0, [])
-    return out
+    return [ProfileCoalition.of(rep, acc)
+            for acc in itertools.product(*(range(c + 1) for c in table.counts))]
 
 
 @dataclass(frozen=True)
@@ -243,8 +235,10 @@ def is_minimal_winning_profile(rep: Representation, counts: Sequence[int]) -> bo
 
 def minimal_winning_count_vectors(rep: Representation, cap: int = 200_000) -> list[tuple[int, ...]]:
     """Count vectors (per weight type, heaviest first) of all minimal winning
-    coalitions; integer weights required.  Pure integer arithmetic; profiles
-    live in the weight window [ceil(q), ceil(q) + w1 - 1]."""
+    coalitions, in lexicographic order; integer weights required.  Pure
+    integer arithmetic; profiles live in the weight window
+    [ceil(q), ceil(q) + w1 - 1].  ``EnumerationLimit`` is raised on reaching
+    a node of the depth-first search once more than ``cap`` are listed."""
     if not rep.has_integer_weights():
         raise NonIntegerWeights("profile enumeration requires integer weights")
     table = rep.weight_types()
@@ -252,34 +246,56 @@ def minimal_winning_count_vectors(rep: Representation, cap: int = 200_000) -> li
     counts = list(table.counts)
     t = table.t
     win_cut = min_winning_weight(rep)
-    wmax = max(tweights)
-    hi_cut = win_cut + wmax - 1
     suffix_weight = [0] * (t + 1)
     for k in reversed(range(t)):
         suffix_weight[k] = suffix_weight[k + 1] + tweights[k] * counts[k]
-    out: list[tuple[int, ...]] = []
+    search = _MinimalWinningSearch(tweights, counts, suffix_weight, win_cut,
+                                   win_cut + max(tweights) - 1, cap)
+    search.visit(0, 0, None)
+    return search.out
 
-    def rec(k: int, acc: list[int], weight: int):
-        if len(out) > cap:
-            raise EnumerationLimit(f"more than {cap} candidate profiles")
-        if k == t:
-            if weight >= win_cut and all(
-                j == 0 or weight - w < win_cut
-                for j, w in zip(acc, tweights)
-            ):
-                out.append(tuple(acc))
+
+class _MinimalWinningSearch:
+    """Depth-first search over per-type counts for ``minimal_winning_count_vectors``.
+
+    A class, not a nested closure: a closure that calls itself is a
+    reference cycle, which keeps its result list alive until the cyclic
+    garbage collector runs.  ``acc`` holds the counts chosen so far.
+    """
+
+    def __init__(self, tweights, counts, suffix_weight, win_cut, hi_cut, cap):
+        self.tweights = tweights
+        self.counts = counts
+        self.suffix_weight = suffix_weight
+        self.win_cut = win_cut
+        self.hi_cut = hi_cut
+        self.cap = cap
+        self.acc = [0] * len(tweights)
+        self.out: list[tuple[int, ...]] = []
+
+    def visit(self, k: int, weight: int, light: int | None):
+        """Extend the counts of types ``0..k-1`` (total ``weight``, lightest
+        type used weighing ``light``).  Weights fall with the type index, so
+        a winning profile is minimal iff dropping one player of ``light``
+        loses."""
+        if len(self.out) > self.cap:
+            raise EnumerationLimit(f"more than {self.cap} candidate profiles")
+        if k == len(self.tweights):
+            if weight >= self.win_cut and (light is None or weight - light < self.win_cut):
+                self.out.append(tuple(self.acc))
             return
-        for j in range(counts[k] + 1):
-            w = weight + j * tweights[k]
-            if w > hi_cut:
-                break
-            if w + suffix_weight[k + 1] < win_cut:
-                continue
-            rec(k + 1, acc + [j], w)
-
-    rec(0, [], 0)
-    out.sort()
-    return out
+        wk = self.tweights[k]
+        # counts whose weight stays within the window and can still reach
+        # the quota with every later player added
+        need = self.win_cut - weight - self.suffix_weight[k + 1]
+        if wk:
+            lo = max(0, -(-need // wk))
+            hi = min(self.counts[k], (self.hi_cut - weight) // wk)
+        else:
+            lo, hi = 0, (self.counts[k] if need <= 0 else -1)
+        for j in range(lo, hi + 1):
+            self.acc[k] = j
+            self.visit(k + 1, weight + j * wk, wk if j else light)
 
 
 def minimal_winning_profiles(rep: Representation, cap: int = 200_000) -> list[ProfileCoalition]:

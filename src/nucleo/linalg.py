@@ -1,8 +1,15 @@
 """Small exact linear algebra: an incrementally built affine system in echelon form.
 
-Used by the sequential nucleolus scheme to hold the equalities fixed so far
-(efficiency plus frozen coalition rows), answer rank queries, expose an integer kernel basis for the separation oracle's
-"constant excess" filter, and solve the system once it pins a unique point.
+The sequential nucleolus scheme holds the equalities fixed so far in it
+(efficiency plus frozen coalition rows), asks it for the rank, for an integer
+kernel basis (the separation oracle's "constant excess" filter) and for the
+point once the system pins one.  The homogeneity search feeds it one integer
+row per minimal winning coalition or profile, tens of thousands of them.
+
+Rows are stored fraction-free (Bareiss 1968): integer vectors, so reducing an
+incoming row costs integer products only.  ``Fraction`` enters only where a
+caller passes it in (scaled by its denominators' lcm) or asks for the
+rational view ``EchelonSystem.rows``.
 """
 
 from __future__ import annotations
@@ -16,29 +23,42 @@ class InconsistentSystem(RuntimeError):
     pass
 
 
+class UnderdeterminedSystem(RuntimeError):
+    """A unique solution was asked of a system that does not pin one."""
+
+
 class EchelonSystem:
-    """Affine rows ``a . x = b`` kept in reduced row echelon form."""
+    """Affine rows ``a . x = b`` kept in reduced row echelon form.
+
+    Each stored row is a list of ``dim + 1`` integers, rhs last, divided by
+    the gcd of its entries; its pivot entry is positive and every other row
+    is zero in its pivot column.  ``rows`` is the same system over
+    ``Fraction`` with each pivot scaled to 1, built on first use after an
+    independent row is added and cached until the next.  A reduced system
+    is unique given its pivot columns, so ``rows`` equals the rows of the
+    rational elimination that scales each pivot to 1 as the row comes in.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[list[Fraction]] = []  # each of length dim + 1 (rhs last)
         self.pivot_cols: list[int] = []
+        self._int_rows: list[list[int]] = []
+        self._free_cols = list(range(dim))  # non-pivot columns, ascending
+        self._pivot_lcm = 1                 # lcm of the pivot entries
+        self._scaled: list[tuple[int, int, list[int]]] = []  # (pivot col, lcm // pivot, row)
+        self._rows: list[list[Fraction]] | None = []
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._int_rows)
 
-    def _reduce(self, vec: Sequence, rhs) -> tuple[list[Fraction], Fraction]:
-        v = [Fraction(c) for c in vec]
-        r = Fraction(rhs)
-        for row, pc in zip(self.rows, self.pivot_cols):
-            f = v[pc]
-            if f:
-                for j in range(self.dim):
-                    if row[j]:
-                        v[j] -= f * row[j]
-                r -= f * row[self.dim]
-        return v, r
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        """The rows over ``Fraction``, pivot entries 1, rhs last."""
+        if self._rows is None:
+            self._rows = [[Fraction(c, row[pc]) for c in row]
+                          for row, pc in zip(self._int_rows, self.pivot_cols)]
+        return self._rows
 
     def add_row(self, vec: Sequence, rhs) -> bool:
         """Add ``vec . x = rhs``; returns True iff the row was independent.
@@ -46,53 +66,82 @@ class EchelonSystem:
         A dependent row must be consistent with the system; otherwise
         ``InconsistentSystem`` is raised.
         """
-        v, r = self._reduce(vec, rhs)
-        pc = next((j for j in range(self.dim) if v[j]), None)
-        if pc is None:
-            if r != 0:
+        v = _integer_row(vec, rhs)
+        dim = self.dim
+        # v reduced by every row at once, scaled by the pivots' lcm; it is
+        # zero in every pivot column, so only the free columns and the rhs
+        # need computing
+        cols = self._free_cols + [dim]
+        terms = [(v[pc] * m, row) for pc, m, row in self._scaled if v[pc]]
+        if terms:
+            lcm = self._pivot_lcm
+            red = [lcm * v[j] - sum(f * row[j] for f, row in terms) for j in cols]
+        else:
+            red = [v[j] for j in cols]
+        k = next((i for i in range(len(cols) - 1) if red[i]), None)
+        if k is None:
+            if red[-1]:
+                # the residual of the rational reduction, which reduces by
+                # the pivot-1 rows with coefficients vec[pc]
+                r = Fraction(rhs) - sum(
+                    (Fraction(vec[pc]) * row[dim] for row, pc in zip(self.rows, self.pivot_cols)),
+                    Fraction(0))
                 raise InconsistentSystem(f"inconsistent row (residual rhs {r})")
             return False
-        inv = 1 / v[pc]
-        v = [c * inv for c in v]
-        r = r * inv
+        pc = cols[k]
+        new = [0] * (dim + 1)
+        for j, c in zip(cols, red):
+            new[j] = c
+        new = _primitive(new, new[pc])
+        p = new[pc]
         # back-substitute into existing rows to keep reduced form
-        for row in self.rows:
+        for i, row in enumerate(self._int_rows):
             f = row[pc]
             if f:
-                for j in range(self.dim):
-                    if v[j]:
-                        row[j] -= f * v[j]
-                row[self.dim] -= f * r
-        self.rows.append(v + [r])
+                self._int_rows[i] = _primitive([a * p - f * b for a, b in zip(row, new)], 1)
+        self._int_rows.append(new)
         self.pivot_cols.append(pc)
+        self._free_cols.remove(pc)
+        lcm = math.lcm(*(row[c] for row, c in zip(self._int_rows, self.pivot_cols)))
+        self._pivot_lcm = lcm
+        self._scaled = [(c, lcm // row[c], row) for row, c in zip(self._int_rows, self.pivot_cols)]
+        self._rows = None
         return True
 
     def kernel_basis_int(self) -> list[list[int]]:
         """Integer basis of the null space of the coefficient rows."""
-        pivots = set(self.pivot_cols)
-        free_cols = [j for j in range(self.dim) if j not in pivots]
         basis = []
-        for fc in free_cols:
-            vec = [Fraction(0)] * self.dim
-            vec[fc] = Fraction(1)
-            for row, pc in zip(self.rows, self.pivot_cols):
-                vec[pc] = -row[fc]
-            denom = 1
-            for c in vec:
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
-            ints = [int(c * denom) for c in vec]
-            g = 0
-            for c in ints:
-                g = math.gcd(g, c)
-            if g > 1:
-                ints = [c // g for c in ints]
-            basis.append(ints)
+        for fc in self._free_cols:
+            vec = [0] * self.dim
+            vec[fc] = self._pivot_lcm
+            for pc, m, row in self._scaled:
+                vec[pc] = -row[fc] * m
+            basis.append(_primitive(vec, 1))
         return basis
 
     def solve_unique(self) -> tuple[Fraction, ...]:
         if self.rank != self.dim:
-            raise RuntimeError("system does not pin a unique point")
+            raise UnderdeterminedSystem("system does not pin a unique point")
         x = [Fraction(0)] * self.dim
-        for row, pc in zip(self.rows, self.pivot_cols):
-            x[pc] = row[self.dim]
+        for row, pc in zip(self._int_rows, self.pivot_cols):
+            x[pc] = Fraction(row[self.dim], row[pc])
         return tuple(x)
+
+
+def _integer_row(vec: Sequence, rhs) -> list[int]:
+    """``vec`` and ``rhs`` as one integer row: ``int`` entries as they are,
+    anything else as a ``Fraction`` scaled by the lcm of the denominators."""
+    row = [*vec, rhs]
+    if all(type(c) is int for c in row):
+        return row
+    row = [Fraction(c) for c in row]
+    den = math.lcm(*(c.denominator for c in row))
+    return [c.numerator * (den // c.denominator) for c in row]
+
+
+def _primitive(vec: list[int], sign: int) -> list[int]:
+    """``vec`` divided by the gcd of its entries, negated when ``sign`` < 0."""
+    g = math.gcd(*vec)
+    if sign < 0:
+        g = -g
+    return vec if g == 1 else [c // g for c in vec]

@@ -12,6 +12,14 @@ homogeneous representation, null players, and interchangeability.
 
 Classifiers run on integer-scaled weights and use reachable-weight bitsets,
 so they stay exact and fast even for games with hundreds of players.
+
+The homogeneity search solves for (weights, quota) with every minimal
+winning coalition at exactly the quota and every maximal losing one at most
+the quota minus 1.  Up to 16 players it lists coalitions as bitmasks with
+integer subset-sum tables; beyond, it lists weight-type profiles.  Either
+way the equalities go into an ``EchelonSystem`` as integer rows, and an
+exact LP with lazily added losing rows finds a witness of least total
+weight or proves that none exists.
 """
 
 from __future__ import annotations
@@ -46,6 +54,10 @@ class WeightAbsent(GameError):
 
 class IdentityViolation(RuntimeError):
     """An exact identity that must hold for a genuine nucleolus failed."""
+
+
+class HomogeneitySearchError(RuntimeError):
+    """The homogeneity row generation reached a state its invariants forbid."""
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +313,9 @@ def _homogeneity_solution(eq_rows: list[list[Fraction]], losing_rows: list[list[
 
     Variables: v[0..nv-2] the candidate weights, v[nv-1] the quota.
     Equalities come pre-reduced (independent rows, homogeneous rhs 0);
-    losing rows encode w(L) <= q - 1 and are added lazily.
+    losing rows encode w(L) <= q - 1 and are added lazily.  Only an
+    infeasible LP means "no": the objective is bounded below by 0, so any
+    other status than optimal is an internal failure.
     """
     objective = [Fraction(1)] * (nv - 1) + [Fraction(0)]
     lower = [Fraction(0)] * (nv - 1) + [Fraction(1)]
@@ -311,7 +325,7 @@ def _homogeneity_solution(eq_rows: list[list[Fraction]], losing_rows: list[list[
     while True:
         rounds += 1
         if rounds > len(losing_rows) + 2:
-            raise RuntimeError("homogeneity row generation failed to terminate")
+            raise HomogeneitySearchError("homogeneity row generation failed to terminate")
         lp = ExactLinearProgram(
             num_vars=nv,
             objective=tuple(objective),
@@ -327,12 +341,16 @@ def _homogeneity_solution(eq_rows: list[list[Fraction]], losing_rows: list[list[
         if sol.status == "infeasible":
             return None
         if sol.status != "optimal":
-            return None
+            raise HomogeneitySearchError(f"homogeneity LP returned {sol.status}")
         vals = sol.values
+        # slacks (q - 1) - w(L) scaled by the common denominator d > 0, so
+        # the most violated row is found in integers
+        d = math.lcm(*(v.denominator for v in vals))
+        x = [v.numerator * (d // v.denominator) for v in vals]
+        cut, xw = x[-1] - d, x[:-1]
         worst = None
         for row in remaining:
-            lhs = sum((Fraction(c) * vals[k] for k, c in enumerate(row[:-1])), Fraction(0))
-            slack = (vals[-1] - 1) - lhs
+            slack = cut - sum(c * xk for c, xk in zip(row, xw))
             if slack < 0 and (worst is None or slack < worst[0]):
                 worst = (slack, row)
         if worst is None:
@@ -358,22 +376,35 @@ def permits_homogeneous_rep(rep: Representation, limit: int = EXPLICIT_LIMIT,
     return _permits_homogeneous_typed(rep, ri, profile_cap)
 
 
+def _subset_sums(weights: Sequence[int]) -> list[int]:
+    """Total weight of every coalition, indexed by bitmask (bit i is player i)."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def _winning_masks(rep: Representation) -> list[bool]:
+    """Whether each coalition wins, indexed by bitmask."""
+    ri = _integer_form(rep)
+    win_cut = min_winning_weight(ri)
+    return [s >= win_cut for s in _subset_sums([int(w) for w in ri.original_weights])]
+
+
 def _maximal_losing_masks(ri: Representation):
     weights = [int(w) for w in ri.original_weights]
-    q = ri.quota
-    n = ri.n
-    size = 1 << n
-    wsum = [0] * size
-    for m in range(1, size):
-        low = m & -m
-        i = low.bit_length() - 1
-        wsum[m] = wsum[m ^ low] + weights[i]
+    win_cut = min_winning_weight(ri)
+    # lightest member of each coalition (none for the empty one); the
+    # lightest player outside m is the lightest member of its complement
+    lightest = [None]
+    for w in weights:
+        lightest += [w] + [min(l, w) for l in lightest[1:]]
+    full = (1 << ri.n) - 1
     out = []
-    for m in range(size):
-        if Fraction(wsum[m]) >= q:
+    for m, w in enumerate(_subset_sums(weights)):
+        if w >= win_cut:
             continue
-        outsiders = [weights[i] for i in range(n) if not m >> i & 1]
-        if outsiders and Fraction(wsum[m] + min(outsiders)) < q:
+        if m != full and w + lightest[full ^ m] < win_cut:
             continue
         out.append(m)
     return out
@@ -384,10 +415,9 @@ def _permits_homogeneous_explicit(rep: Representation, ri: Representation):
     mwcs = minimal_winning_coalitions(ri, limit=n)
     system = EchelonSystem(n + 1)
     for S in mwcs:
-        row = [Fraction(0)] * (n + 1)
+        row = [0] * n + [-1]
         for i in S:
-            row[i] = Fraction(1)
-        row[n] = Fraction(-1)
+            row[i] = 1
         system.add_row(row, 0)  # w(S) - q = 0, homogeneous so always consistent
     eq_rows = [list(r[: n + 1]) for r in system.rows]
 
@@ -405,11 +435,8 @@ def _permits_homogeneous_explicit(rep: Representation, ri: Representation):
 
 
 def _verify_witness_explicit(ri: Representation, witness: Representation) -> None:
-    n = ri.n
-    for m in range(1 << n):
-        S = [i for i in range(n) if m >> i & 1]
-        if ri.is_winning(S) != witness.is_winning(S):
-            raise IdentityViolation("homogeneity witness induces a different game")
+    if _winning_masks(ri) != _winning_masks(witness):
+        raise IdentityViolation("homogeneity witness induces a different game")
     if not is_homogeneous_rep(witness):
         raise IdentityViolation("homogeneity witness is not homogeneous")
 
@@ -418,30 +445,43 @@ def _maximal_losing_profiles(ri: Representation, cap: int):
     """Profiles of losing coalitions to which no available player can be
     added without winning."""
     table = ri.weight_types()
-    weights = [int(w) for w in table.weights]
-    counts = list(table.counts)
-    win_cut = min_winning_weight(ri)
-    t = len(weights)
-    out = []
+    search = _MaximalLosingSearch([int(w) for w in table.weights], list(table.counts),
+                                  min_winning_weight(ri), cap)
+    search.visit(0, 0, None)
+    return search.out
 
-    def rec(k: int, acc: list[int], weight: int):
-        if len(out) > cap:
-            raise EnumerationLimit(f"more than {cap} maximal losing profiles")
-        if k == t:
-            avail = [weights[i] for i in range(t) if acc[i] < counts[i]]
-            if avail and weight + min(avail) < win_cut:
+
+class _MaximalLosingSearch:
+    """Depth-first search over per-type counts for ``_maximal_losing_profiles``;
+    a class, not a self-calling closure, so that no reference cycle keeps
+    the result list alive.  ``acc`` holds the counts chosen so far."""
+
+    def __init__(self, weights, counts, win_cut, cap):
+        self.weights = weights
+        self.counts = counts
+        self.win_cut = win_cut
+        self.cap = cap
+        self.acc = [0] * len(weights)
+        self.out: list[tuple[int, ...]] = []
+
+    def visit(self, k: int, weight: int, light: int | None):
+        """Extend the counts of types ``0..k-1`` (total ``weight``, lightest
+        type with a player left over weighing ``light``)."""
+        if len(self.out) > self.cap:
+            raise EnumerationLimit(f"more than {self.cap} maximal losing profiles")
+        if k == len(self.weights):
+            if light is not None and weight + light < self.win_cut:
                 return
-            out.append(tuple(acc))
+            self.out.append(tuple(self.acc))
             return
+        wk, ck = self.weights[k], self.counts[k]
         # a maximal losing profile keeps total weight below the quota
-        for j in range(counts[k] + 1):
-            w = weight + j * weights[k]
-            if w >= win_cut:
+        for j in range(ck + 1):
+            w = weight + j * wk
+            if w >= self.win_cut:
                 break
-            rec(k + 1, acc + [j], w)
-
-    rec(0, [], 0)
-    return out
+            self.acc[k] = j
+            self.visit(k + 1, w, wk if j < ck else light)
 
 
 def _permits_homogeneous_typed(rep: Representation, ri: Representation, cap: int):
@@ -449,8 +489,7 @@ def _permits_homogeneous_typed(rep: Representation, ri: Representation, cap: int
     t = table.t
     system = EchelonSystem(t + 1)
     for vec in minimal_winning_count_vectors(ri, cap=cap):
-        row = [Fraction(c) for c in vec] + [Fraction(-1)]
-        system.add_row(row, 0)
+        system.add_row([*vec, -1], 0)
     eq_rows = [list(r[: t + 1]) for r in system.rows]
 
     # the equalities alone often already rule a homogeneous representation

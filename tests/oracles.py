@@ -5,6 +5,7 @@ separate from the library's knapsack/bitset/LP machinery, so each check has
 two genuinely different routes to the same value.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -140,3 +141,76 @@ def lex_leq(vec_a, vec_b):
         if a > b:
             return False
     return True
+
+
+class ReferenceEchelonSystem:
+    """``linalg.EchelonSystem`` as it was before fraction-free storage: the
+    rows over ``Fraction``, each pivot scaled to 1 as it is added."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.rows = []  # each of length dim + 1 (rhs last)
+        self.pivot_cols = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def _reduce(self, vec, rhs):
+        v = [Fraction(c) for c in vec]
+        r = Fraction(rhs)
+        for row, pc in zip(self.rows, self.pivot_cols):
+            f = v[pc]
+            if f:
+                for j in range(self.dim):
+                    if row[j]:
+                        v[j] -= f * row[j]
+                r -= f * row[self.dim]
+        return v, r
+
+    def add_row(self, vec, rhs):
+        v, r = self._reduce(vec, rhs)
+        pc = next((j for j in range(self.dim) if v[j]), None)
+        if pc is None:
+            if r != 0:
+                raise ValueError(f"inconsistent row (residual rhs {r})")
+            return False
+        inv = 1 / v[pc]
+        v = [c * inv for c in v]
+        r = r * inv
+        for row in self.rows:
+            f = row[pc]
+            if f:
+                for j in range(self.dim):
+                    if v[j]:
+                        row[j] -= f * v[j]
+                row[self.dim] -= f * r
+        self.rows.append(v + [r])
+        self.pivot_cols.append(pc)
+        return True
+
+    def kernel_basis_int(self):
+        pivots = set(self.pivot_cols)
+        basis = []
+        for fc in (j for j in range(self.dim) if j not in pivots):
+            vec = [Fraction(0)] * self.dim
+            vec[fc] = Fraction(1)
+            for row, pc in zip(self.rows, self.pivot_cols):
+                vec[pc] = -row[fc]
+            denom = 1
+            for c in vec:
+                denom = denom * c.denominator // math.gcd(denom, c.denominator)
+            ints = [int(c * denom) for c in vec]
+            g = 0
+            for c in ints:
+                g = math.gcd(g, c)
+            basis.append([c // g for c in ints] if g > 1 else ints)
+        return basis
+
+    def solve_unique(self):
+        if self.rank != self.dim:
+            raise ValueError("system does not pin a unique point")
+        x = [Fraction(0)] * self.dim
+        for row, pc in zip(self.rows, self.pivot_cols):
+            x[pc] = row[self.dim]
+        return tuple(x)

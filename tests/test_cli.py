@@ -2,7 +2,9 @@ import json
 
 import nucleo.cli
 import nucleo.coalitions
+import nucleo.theory
 from nucleo.cli import main
+from nucleo.exactlp import LpSolution
 from nucleo.nucleolus import SolverError
 
 
@@ -57,6 +59,17 @@ def test_solve_internal_error_exit_code(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("error: internal invariant failed: no count of item 0 completes")
+
+
+def test_classify_unexpected_lp_status_exit_code(capsys, monkeypatch):
+    # the homogeneity LP minimizes a sum of weights bounded below by 0, so it
+    # cannot be unbounded; that status must not read as "no representation"
+    monkeypatch.setattr(nucleo.theory, "solve", lambda lp: LpSolution("unbounded"))
+    for game in ("8; 6 4 3 2", "50; 10*4 10*3 10*2"):
+        code, out, err = run(capsys, "classify", game)
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal invariant failed: homogeneity LP returned unbounded\n"
 
 
 def test_solve_json_round_trip(capsys):

@@ -26,6 +26,7 @@ from nucleo.coalitions import (
     ordered_excess_vector,
     reachable_weights,
 )
+from nucleo.gameio import parse_game
 from nucleo.games import representation
 from nucleo.nucleolus import _ItemSpace
 
@@ -130,6 +131,44 @@ def test_minimal_winning_profiles_flagship_members():
     assert not is_minimal_winning_profile(rep, (300, 100, 1))
     vectors = set(minimal_winning_count_vectors(rep, cap=400_000))
     assert {(300, 100, 0), (300, 0, 150), (300, 1, 149)} <= vectors
+
+
+def test_minimal_winning_count_vectors_match_brute_filter():
+    rng = random.Random(31)
+    zero_types = 0
+    for _ in range(150):
+        types = sorted(rng.sample(range(1, 9), rng.randint(1, 4)), reverse=True)
+        if rng.random() < 0.3:
+            types.append(0)
+            zero_types += 1
+        players = [w for w in types for _ in range(rng.randint(1, 5))]
+        q = rng.randint(1, sum(players))
+        if rng.random() < 0.3:
+            q = F(2 * q - 1, 2)
+        rep = representation(q, players)
+        brute = sorted(p.counts for p in all_profiles(rep)
+                       if is_minimal_winning_profile(rep, p.counts))
+        assert minimal_winning_count_vectors(rep) == brute
+    assert zero_types >= 20
+
+
+@pytest.mark.parametrize("game,count,least_cap", [
+    ("1500; 300*4 300*3 300*2", 41576, 41576),
+    ("120; 40*5 40*3 40*2 40*1", 7413, 7413),
+    ("50; 10*4 10*3 10*2", 58, 57),
+    ("60%; 8*3 8*2 8*1", 27, 27),
+    ("7; 20*1 2*0", 1, 1),
+    ("25; 17*3", 1, 0),
+])
+def test_minimal_winning_count_vectors_cap_boundary(game, count, least_cap):
+    # the least cap that does not raise, recorded before the search skipped
+    # counts that cannot reach the quota: the limit is checked on entering
+    # each node of the search, so it depends on the node order
+    rep = parse_game(game)
+    assert len(minimal_winning_count_vectors(rep, cap=least_cap)) == count
+    if least_cap:
+        with pytest.raises(EnumerationLimit):
+            minimal_winning_count_vectors(rep, cap=least_cap - 1)
 
 
 def test_minimal_winning_profiles_expand_to_explicit():

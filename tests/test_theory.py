@@ -1,13 +1,17 @@
+import gc
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from nucleo.coalitions import EnumerationLimit, all_profiles, minimal_winning_count_vectors
+from nucleo.gameio import parse_game
 from nucleo.games import representation
 from nucleo.nucleolus import nucleolus
 from nucleo.theory import (
     DegenerateQuota,
     WeightAbsent,
+    _maximal_losing_profiles,
     coincidence_report,
     distance_bound,
     gap_report,
@@ -236,6 +240,50 @@ def test_permits_homogeneous_witness_verified_exhaustively():
             assert rep.is_winning(S) == witness.is_winning(S)
         assert oracles.brute_is_homogeneous(witness)
     assert found >= 5
+
+
+def _cyclic_garbage(call):
+    """Objects left for the cyclic collector by one call of ``call``."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("game", ["1500; 300*4 300*3 300*2", "8; 6 4 3 2"])
+def test_enumerations_leave_no_cyclic_garbage(game):
+    # a self-calling closure is a reference cycle that would keep the whole
+    # result list alive until a full collection
+    rep = parse_game(game)
+
+    def profiles():
+        try:
+            all_profiles(rep)  # the flagship's lattice exceeds the cap
+        except EnumerationLimit:
+            pass
+
+    assert _cyclic_garbage(profiles) == 0
+    assert _cyclic_garbage(lambda: minimal_winning_count_vectors(rep, cap=400_000)) == 0
+    assert _cyclic_garbage(lambda: _maximal_losing_profiles(rep, 400_000)) == 0
+    assert _cyclic_garbage(lambda: permits_homogeneous_rep(rep, profile_cap=400_000)) == 0
+
+
+@pytest.mark.parametrize("game,count,least_cap", [
+    ("120; 40*5 40*3 40*2 40*1", 7175, 7174),
+    ("50; 10*4 10*3 10*2", 60, 59),
+    ("60%; 8*3 8*2 8*1", 29, 28),
+    ("41; 6*4 2*3 7*2 2*0", 4, 3),
+    ("7; 20*1 2*0", 1, 0),
+])
+def test_maximal_losing_profiles_cap_boundary(game, count, least_cap):
+    # the least cap that does not raise, recorded from the closure-based search
+    rep = parse_game(game)
+    assert len(_maximal_losing_profiles(rep, least_cap)) == count
+    with pytest.raises(EnumerationLimit):
+        _maximal_losing_profiles(rep, least_cap - 1)
 
 
 # -- regularity ----------------------------------------------------------------
