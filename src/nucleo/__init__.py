@@ -34,7 +34,6 @@ from .coalitions import (
     all_profiles,
     excess,
     is_minimal_winning_profile,
-    minimal_winning_coalitions,
     minimal_winning_count_vectors,
     minimal_winning_profiles,
     ordered_excess_vector,

@@ -2,7 +2,8 @@
 
 Games are given inline ("8; 6 4 3 2") or as a path to a game file; both use
 the same grammar, including percentage quotas and run-length weights.  Exit
-codes: 0 success, 2 input error, 3 enumeration/resource limit, 4 internal
+codes: 0 success, 2 input error (including a game file or output path
+that cannot be read or written), 3 enumeration/resource limit, 4 internal
 invariant failure (a solver or identity check that must never fail did).
 JSON output is canonical (sorted keys, two-space indent) and reparses
 byte-identically.
@@ -320,6 +321,8 @@ def main(argv=None) -> int:
     except EnumerationLimit as exc:
         code, message = EXIT_LIMIT, str(exc)
     except ValueError as exc:  # every GameError, ParseError and NoImputation
+        code, message = EXIT_INPUT, str(exc)
+    except OSError as exc:  # an unreadable game file or an unwritable --output
         code, message = EXIT_INPUT, str(exc)
     except (SolverError, SolverInternalError, IdentityViolation, HomogeneitySearchError,
             InconsistentSystem, UnderdeterminedSystem, OracleInvariantError) as exc:

@@ -1,4 +1,4 @@
-"""Coalition enumeration, excesses, minimal winning coalitions, and the
+"""Coalition enumeration, excesses, minimal winning profiles, and the
 min-cost selection engine behind the nucleolus solver's separation oracle.
 
 ``min_cost_selection`` finds a cheapest selection of items, each taken
@@ -147,15 +147,11 @@ def ordered_excess_vector(rep: Representation, x: Sequence,
     if len(xs) != rep.n:
         raise DimensionMismatch(f"payoff vector has length {len(xs)}, game has {rep.n} players")
 
-    denom = 1
-    for v in xs:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    denom = math.lcm(*(v.denominator for v in xs))
     xnum = [int(v * denom) for v in xs]
 
-    wdenom = 1
     weights = rep.original_weights
-    for w in weights:
-        wdenom = wdenom * w.denominator // math.gcd(wdenom, w.denominator)
+    wdenom = math.lcm(*(w.denominator for w in weights))
     wnum = [int(w * wdenom) for w in weights]
     qnum = rep.quota * wdenom
 
@@ -185,41 +181,8 @@ def ordered_excess_vector(rep: Representation, x: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# minimal winning coalitions
+# minimal winning profiles
 # ---------------------------------------------------------------------------
-
-
-def minimal_winning_coalitions(rep: Representation,
-                               limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[frozenset[int]]:
-    """Inclusion-minimal winning coalitions, masks ascending.
-
-    A winning S is minimal iff removing its lightest member loses, since
-    removing any member leaves at least as little weight as that.
-    """
-    if rep.n > limit:
-        raise EnumerationLimit(f"{rep.n} players exceeds enumeration limit {limit}")
-    weights = rep.original_weights
-    wdenom = 1
-    for w in weights:
-        wdenom = wdenom * w.denominator // math.gcd(wdenom, w.denominator)
-    wnum = [int(w * wdenom) for w in weights]
-    qnum = rep.quota * wdenom
-
-    n = rep.n
-    size = 1 << n
-    wsum = [0] * size
-    wmin = [None] * size
-    out = []
-    for m in range(1, size):
-        low = m & -m
-        i = low.bit_length() - 1
-        prev = m ^ low
-        wsum[m] = wsum[prev] + wnum[i]
-        pm = wmin[prev]
-        wmin[m] = wnum[i] if pm is None or wnum[i] < pm else pm
-        if wsum[m] >= qnum and wsum[m] - wmin[m] < qnum:
-            out.append(frozenset(j for j in range(n) if m >> j & 1))
-    return out
 
 
 def is_minimal_winning_profile(rep: Representation, counts: Sequence[int]) -> bool:

@@ -173,15 +173,9 @@ class Representation:
         their gcd; the quota is scaled by the same factor (it may stay
         fractional).  Winning sets are unchanged.
         """
-        denom_lcm = 1
-        for w in self.weights:
-            denom_lcm = denom_lcm * w.denominator // math.gcd(denom_lcm, w.denominator)
+        denom_lcm = math.lcm(*(w.denominator for w in self.weights))
         ints = [int(w * denom_lcm) for w in self.weights]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        if g == 0:
-            g = 1
+        g = math.gcd(*ints) or 1
         scale = Fraction(denom_lcm, g)
         return Representation(
             quota=self.quota * scale,

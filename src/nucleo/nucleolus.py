@@ -189,9 +189,7 @@ class _ItemSpace:
         Ties prefer a winning coalition, then the lexicographically smallest
         count vector (inherited from the knapsack's enumeration order).
         """
-        denom = 1
-        for v in y:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
+        denom = math.lcm(*(v.denominator for v in y))
         costs = tuple(int(v * denom) for v in y)
 
         def acceptable(vec: tuple[int, ...]) -> bool:

@@ -15,11 +15,10 @@ so they stay exact and fast even for games with hundreds of players.
 
 The homogeneity search solves for (weights, quota) with every minimal
 winning coalition at exactly the quota and every maximal losing one at most
-the quota minus 1.  Up to 16 players it lists coalitions as bitmasks with
-integer subset-sum tables; beyond, it lists weight-type profiles.  Either
-way the equalities go into an ``EchelonSystem`` as integer rows, and an
-exact LP with lazily added losing rows finds a witness of least total
-weight or proves that none exists.
+the quota minus 1.  It lists weight-type profiles, one weight per type: the
+equalities go into an ``EchelonSystem`` as integer rows, and an exact LP
+with lazily added losing rows finds a witness of least total weight or
+proves that none exists.
 """
 
 from __future__ import annotations
@@ -27,13 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coalitions import (
     EnumerationLimit,
     NonIntegerWeights,
     min_winning_weight,
-    minimal_winning_coalitions,
     minimal_winning_count_vectors,
     reachable_weights,
 )
@@ -306,25 +304,28 @@ def interchangeable_pairs(rep: Representation,
 # ---------------------------------------------------------------------------
 
 
-def _homogeneity_solution(eq_rows: list[list[Fraction]], losing_rows: list[list[int]],
-                          nv: int):
+def _homogeneity_solution(eq_rows: list[list[Fraction]],
+                          losing_rows: Callable[[], list[tuple[int, ...]]], nv: int):
     """Feasibility of the homogeneity system over (weights..., quota) with
     total weight minimized; returns the witness vector or None.
 
     Variables: v[0..nv-2] the candidate weights, v[nv-1] the quota.
-    Equalities come pre-reduced (independent rows, homogeneous rhs 0);
-    losing rows encode w(L) <= q - 1 and are added lazily.  Only an
-    infeasible LP means "no": the objective is bounded below by 0, so any
-    other status than optimal is an internal failure.
+    Equalities come pre-reduced (independent rows, homogeneous rhs 0).
+    The equalities alone often already rule a homogeneous representation
+    out, so ``losing_rows`` is called only once they are found feasible; its
+    rows, one weight coefficient per variable but the quota, encode
+    w(L) <= q - 1 and are added lazily.  Only an infeasible LP means "no":
+    the objective is bounded below by 0, so any other status than optimal is
+    an internal failure.
     """
     objective = [Fraction(1)] * (nv - 1) + [Fraction(0)]
     lower = [Fraction(0)] * (nv - 1) + [Fraction(1)]
-    active: list[list[int]] = []
-    remaining = [list(r) for r in losing_rows]
-    rounds = 0
+    active: list[tuple[int, ...]] = []
+    remaining = None
+    rounds, max_rounds = 0, 2
     while True:
         rounds += 1
-        if rounds > len(losing_rows) + 2:
+        if rounds > max_rounds:
             raise HomogeneitySearchError("homogeneity row generation failed to terminate")
         lp = ExactLinearProgram(
             num_vars=nv,
@@ -335,13 +336,16 @@ def _homogeneity_solution(eq_rows: list[list[Fraction]], losing_rows: list[list[
         for row in eq_rows:
             lp.add_constraint(row, "=", 0)
         for row in active:
-            coeffs = [Fraction(c) for c in row[:-1]] + [Fraction(-1)]
+            coeffs = [Fraction(c) for c in row] + [Fraction(-1)]
             lp.add_constraint(coeffs, "<=", -1)
         sol = solve(lp)
         if sol.status == "infeasible":
             return None
         if sol.status != "optimal":
             raise HomogeneitySearchError(f"homogeneity LP returned {sol.status}")
+        if remaining is None:
+            remaining = losing_rows()
+            max_rounds = len(remaining) + 2
         vals = sol.values
         # slacks (q - 1) - w(L) scaled by the common denominator d > 0, so
         # the most violated row is found in integers
@@ -359,86 +363,35 @@ def _homogeneity_solution(eq_rows: list[list[Fraction]], losing_rows: list[list[
         remaining.remove(worst[1])
 
 
-def permits_homogeneous_rep(rep: Representation, limit: int = EXPLICIT_LIMIT,
-                            profile_cap: int = 200_000):
+def permits_homogeneous_rep(rep: Representation, profile_cap: int = 200_000):
     """Whether the game has a homogeneous representation; returns
     (answer, witness) with the witness a validated representation whose
     total weight is minimal for the homogeneity system.
 
-    Small games enumerate explicit minimal winning and maximal losing
-    coalitions; larger games use the weight-type profile system, which is
-    lossless because the solution set is convex and invariant under
-    permuting equal-weight players.
+    The system is written over weight-type profiles, one weight per type,
+    which is lossless because the solution set is convex and invariant under
+    permuting equal-weight players.  ``EnumerationLimit`` is raised when
+    either profile list exceeds ``profile_cap``; no game with at most 16
+    players comes near the default, since each list has at most 2^n entries.
     """
     ri = _integer_form(rep)
-    if ri.n <= limit:
-        return _permits_homogeneous_explicit(rep, ri)
-    return _permits_homogeneous_typed(rep, ri, profile_cap)
+    table = ri.weight_types()
+    t = table.t
+    system = EchelonSystem(t + 1)
+    for vec in minimal_winning_count_vectors(ri, cap=profile_cap):
+        system.add_row([*vec, -1], 0)  # w(S) - q = 0, homogeneous so always consistent
+    eq_rows = [list(r[: t + 1]) for r in system.rows]
 
-
-def _subset_sums(weights: Sequence[int]) -> list[int]:
-    """Total weight of every coalition, indexed by bitmask (bit i is player i)."""
-    sums = [0]
-    for w in weights:
-        sums += [s + w for s in sums]
-    return sums
-
-
-def _winning_masks(rep: Representation) -> list[bool]:
-    """Whether each coalition wins, indexed by bitmask."""
-    ri = _integer_form(rep)
-    win_cut = min_winning_weight(ri)
-    return [s >= win_cut for s in _subset_sums([int(w) for w in ri.original_weights])]
-
-
-def _maximal_losing_masks(ri: Representation):
-    weights = [int(w) for w in ri.original_weights]
-    win_cut = min_winning_weight(ri)
-    # lightest member of each coalition (none for the empty one); the
-    # lightest player outside m is the lightest member of its complement
-    lightest = [None]
-    for w in weights:
-        lightest += [w] + [min(l, w) for l in lightest[1:]]
-    full = (1 << ri.n) - 1
-    out = []
-    for m, w in enumerate(_subset_sums(weights)):
-        if w >= win_cut:
-            continue
-        if m != full and w + lightest[full ^ m] < win_cut:
-            continue
-        out.append(m)
-    return out
-
-
-def _permits_homogeneous_explicit(rep: Representation, ri: Representation):
-    n = ri.n
-    mwcs = minimal_winning_coalitions(ri, limit=n)
-    system = EchelonSystem(n + 1)
-    for S in mwcs:
-        row = [0] * n + [-1]
-        for i in S:
-            row[i] = 1
-        system.add_row(row, 0)  # w(S) - q = 0, homogeneous so always consistent
-    eq_rows = [list(r[: n + 1]) for r in system.rows]
-
-    losing_rows = []
-    for m in _maximal_losing_masks(ri):
-        row = [1 if m >> i & 1 else 0 for i in range(n)] + [0]
-        losing_rows.append(row)
-
-    vals = _homogeneity_solution(eq_rows, losing_rows, n + 1)
+    vals = _homogeneity_solution(eq_rows, lambda: _maximal_losing_profiles(ri, profile_cap),
+                                 t + 1)
     if vals is None:
         return False, None
-    witness = representation(vals[n], vals[:n])
-    _verify_witness_explicit(ri, witness)
+    # expand type weights back to players (input order)
+    per_type = {w: vals[k] for k, (w, _) in enumerate(table.entries)}
+    weights = [per_type[w] for w in ri.original_weights]
+    witness = representation(vals[t], weights)
+    _verify_witness(ri, witness)
     return True, witness
-
-
-def _verify_witness_explicit(ri: Representation, witness: Representation) -> None:
-    if _winning_masks(ri) != _winning_masks(witness):
-        raise IdentityViolation("homogeneity witness induces a different game")
-    if not is_homogeneous_rep(witness):
-        raise IdentityViolation("homogeneity witness is not homogeneous")
 
 
 def _maximal_losing_profiles(ri: Representation, cap: int):
@@ -484,31 +437,7 @@ class _MaximalLosingSearch:
             self.visit(k + 1, w, wk if j < ck else light)
 
 
-def _permits_homogeneous_typed(rep: Representation, ri: Representation, cap: int):
-    table = ri.weight_types()
-    t = table.t
-    system = EchelonSystem(t + 1)
-    for vec in minimal_winning_count_vectors(ri, cap=cap):
-        system.add_row([*vec, -1], 0)
-    eq_rows = [list(r[: t + 1]) for r in system.rows]
-
-    # the equalities alone often already rule a homogeneous representation
-    # out; only enumerate the (possibly huge) losing side when they do not
-    if _homogeneity_solution(eq_rows, [], t + 1) is None:
-        return False, None
-    losing_rows = [list(p) + [0] for p in _maximal_losing_profiles(ri, cap)]
-    vals = _homogeneity_solution(eq_rows, losing_rows, t + 1)
-    if vals is None:
-        return False, None
-    # expand type weights back to players (input order)
-    per_type = {w: vals[k] for k, (w, _) in enumerate(table.entries)}
-    weights = [per_type[w] for w in ri.original_weights]
-    witness = representation(vals[t], weights)
-    _verify_witness_typed(ri, witness)
-    return True, witness
-
-
-def _verify_witness_typed(ri: Representation, witness: Representation) -> None:
+def _verify_witness(ri: Representation, witness: Representation) -> None:
     """Winning-set equality via reachable weight pairs of the two systems."""
     table = ri.weight_types()
     orig_weights = [int(w) for w in table.weights]

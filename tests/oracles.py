@@ -2,12 +2,16 @@
 
 Everything here enumerates coalitions directly and stays deliberately
 separate from the library's knapsack/bitset/LP machinery, so each check has
-two genuinely different routes to the same value.
+two genuinely different routes to the same value.  The one exception is
+``brute_permits_homogeneous``, which needs an LP: it writes one row per
+coalition and hands the whole system to ``exactlp.feasible``.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
+
+from nucleo.exactlp import ExactLinearProgram, feasible
 
 
 def coalitions(n):
@@ -81,6 +85,21 @@ def brute_maximal_losing(rep):
         if all(wins(rep, S | {i}) for i in players - S):
             out.append(S)
     return out
+
+
+def brute_permits_homogeneous(rep):
+    """Whether some (w, q) with w >= 0 and q >= 1 puts every minimal winning
+    coalition at exactly q and every maximal losing one at most q - 1: such
+    a representation induces the same game and is homogeneous, and every
+    homogeneous representation scales to one."""
+    n = rep.n
+    lp = ExactLinearProgram(num_vars=n + 1, objective=[0] * (n + 1),
+                            lower_bounds=[0] * n + [1])
+    for S in brute_mwcs(rep):
+        lp.add_constraint([1 if i in S else 0 for i in range(n)] + [-1], "=", 0)
+    for L in brute_maximal_losing(rep):
+        lp.add_constraint([1 if i in L else 0 for i in range(n)] + [-1], "<=", -1)
+    return feasible(lp)[0]
 
 
 def brute_constant_sum(rep):

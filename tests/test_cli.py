@@ -34,6 +34,22 @@ def test_solve_parse_error_exit_code(capsys):
     assert "exceeds total weight" in err
 
 
+def test_solve_directory_as_game_is_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_solve_output_in_missing_directory_is_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "solve", "8; 6 4 3 2", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not target.parent.exists()
+
+
 def test_solve_limit_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("NUCLEO_MAX_BRUTE_N", "3")
     code, out, err = run(capsys, "solve", "--engine", "brute", "3; 1 1 1 1")

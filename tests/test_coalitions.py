@@ -19,7 +19,6 @@ from nucleo.coalitions import (
     all_profiles,
     excess,
     is_minimal_winning_profile,
-    minimal_winning_coalitions,
     minimal_winning_count_vectors,
     minimal_winning_profiles,
     min_cost_selection,
@@ -105,24 +104,6 @@ def test_ordered_excess_vector_limit():
         ordered_excess_vector(rep, [F(1, 3)] * 3, limit=2)
 
 
-def test_minimal_winning_coalitions_examples():
-    rep = representation(3, [2, 1, 1, 1])
-    got = {tuple(sorted(S)) for S in minimal_winning_coalitions(rep)}
-    assert got == {(0, 1), (0, 2), (0, 3), (1, 2, 3)}
-    assert minimal_winning_coalitions(representation(1, [1])) == [frozenset({0})]
-
-
-@given(st.lists(st.integers(0, 6), min_size=1, max_size=8), st.integers(1, 40))
-@settings(max_examples=120)
-def test_minimal_winning_matches_brute(ws, q):
-    total = sum(ws)
-    if total == 0:
-        return
-    rep = representation(min(q, total), ws)
-    lib = sorted(minimal_winning_coalitions(rep), key=lambda S: sorted(S))
-    assert lib == oracles.brute_mwcs(rep)
-
-
 def test_minimal_winning_profiles_flagship_members():
     rep = representation(1500, [4] * 300 + [3] * 300 + [2] * 300)
     assert is_minimal_winning_profile(rep, (300, 100, 0))
@@ -176,8 +157,7 @@ def test_minimal_winning_profiles_expand_to_explicit():
     profs = minimal_winning_profiles(rep)
     assert [p.counts for p in profs] == [(0, 3), (1, 1)]
     assert profs[0].multiplicity == 1 and profs[1].multiplicity == 3
-    explicit = {tuple(sorted(S)) for S in minimal_winning_coalitions(rep)}
-    assert sum(p.multiplicity for p in profs) == len(explicit)
+    assert sum(p.multiplicity for p in profs) == len(oracles.brute_mwcs(rep))
 
 
 def test_profile_lattice_multiplicities_cover_all_coalitions():

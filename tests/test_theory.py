@@ -242,6 +242,24 @@ def test_permits_homogeneous_witness_verified_exhaustively():
     assert found >= 5
 
 
+def test_permits_homogeneous_matches_brute_lp():
+    # both answers, zero weights and half-integer quotas, against one LP over
+    # every minimal winning and maximal losing coalition
+    rng = random.Random(20261018)
+    answers = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        ws = [rng.randint(0, 6) for _ in range(n)]
+        if sum(ws) == 0:
+            ws[0] = 1
+        q = F(rng.randint(1, 2 * sum(ws)), 2)
+        rep = representation(q, ws)
+        ok, _ = permits_homogeneous_rep(rep)
+        assert ok == oracles.brute_permits_homogeneous(rep), (q, ws)
+        answers[ok] += 1
+    assert min(answers.values()) >= 30
+
+
 def _cyclic_garbage(call):
     """Objects left for the cyclic collector by one call of ``call``."""
     gc.collect()
