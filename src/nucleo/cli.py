@@ -242,7 +242,7 @@ def cmd_experiment(args) -> int:
         if not args.n:
             raise GameError("eq3 needs --n lo..hi")
         spec = SequenceSpec(family="eq3", values=_parse_range(args.n))
-    elif args.family == "replica":
+    else:  # "replica", the only other family argparse admits
         if not args.rho or not args.base:
             raise GameError("replica needs --base GAME and --rho lo..hi")
         spec = SequenceSpec(
@@ -250,8 +250,6 @@ def cmd_experiment(args) -> int:
             values=_parse_range(args.rho),
             base=_load_game(args.base),
         )
-    else:
-        raise GameError(f"unknown family {args.family!r}")
     pairs = tuple(_parse_pair(p) for p in args.pair or ())
     rows = run_sequence(spec, pairs, engine=args.engine)
     text = emit_report(rows, args.format)

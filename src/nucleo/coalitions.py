@@ -47,7 +47,8 @@ class DimensionMismatch(GameError):
 
 
 class OracleStall(RuntimeError):
-    """The exclusion-partition search exceeded its candidate budget."""
+    """The exclusion-partition search exceeded its candidate budget; the
+    solver then scans the count lattice (``nucleolus._ItemSpace._scan_best``)."""
 
 
 class OracleInvariantError(RuntimeError):

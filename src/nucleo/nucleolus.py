@@ -13,7 +13,8 @@ implementation:
   the restriction is lossless.
 
 Constraints are generated lazily.  The separation oracle is the min-cost
-covering knapsack from the coalition engine; coalitions whose excess is
+covering knapsack from the coalition engine, with a capped scan of the count
+lattice when the knapsack search stalls; coalitions whose excess is
 constant on the affine hull fixed so far (in particular the empty and grand
 coalitions, and everything frozen) are recognized by an exact kernel test
 and never surface.  A constraint is frozen when it is tight at every
@@ -24,7 +25,6 @@ get one auxiliary LP each over the optimal face.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +42,7 @@ from .games import GameError, Representation, representation
 from .linalg import EchelonSystem
 
 DEFAULT_MAX_BRUTE_PLAYERS = 20
+_SCAN_CAP = 1 << DEFAULT_MAX_BRUTE_PLAYERS  # count vectors in a stall's fallback scan
 
 
 class NoImputation(GameError):
@@ -128,6 +129,15 @@ def _movable(vec: Sequence[int], kernel: list[list[int]]) -> bool:
     return False
 
 
+def _prepend_item(sums: list[int], step: int, count: int) -> list[int]:
+    """Lattice sums with one more item, taken 0..count times, put first."""
+    out = list(sums)
+    for j in range(1, count + 1):
+        shift = j * step
+        out += [s + shift for s in sums]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the solving space: players grouped into classes with one payoff variable each
 # ---------------------------------------------------------------------------
@@ -187,7 +197,8 @@ class _ItemSpace:
         """Maximum-excess movable pool vector outside ``exclude``, or None.
 
         Ties prefer a winning coalition, then the lexicographically smallest
-        count vector (inherited from the knapsack's enumeration order).
+        count vector (the knapsack's enumeration order, which ``_scan_best``
+        keeps when the knapsack search stalls).
         """
         denom = math.lcm(*(v.denominator for v in y))
         costs = tuple(int(v * denom) for v in y)
@@ -217,63 +228,47 @@ class _ItemSpace:
         return tuple(best[2]), Fraction(best[0], denom)
 
     def _scan_best(self, costs, denom, kernel, exclude):
-        if self.granularity == "player":
-            return self._scan_best_masks(costs, denom, kernel, exclude)
-        best = None
-        ranges = [range(c + 1) for c in self.counts]
-        for vec in itertools.product(*ranges):
-            if vec in exclude or not _movable(vec, kernel):
-                continue
-            w = sum(j * wk for j, wk in zip(vec, self.weights))
-            cost = sum(j * ck for j, ck in zip(vec, costs))
-            num = (denom if w >= self.win_cut else 0) - cost
-            key = (num, w >= self.win_cut)
-            if best is None or key > best[0]:
-                best = (key, vec)
-        if best is None:
-            return None
-        return tuple(best[1]), Fraction(best[0][0], denom)
+        """The knapsack's answer with no rejection budget, by a full scan of
+        at most ``_SCAN_CAP`` count vectors (``EnumerationLimit`` beyond).
 
-    def _scan_best_masks(self, costs, denom, kernel, exclude):
-        """Vectorized full scan over explicit coalitions (player granularity).
-
-        Ties go to the smallest bitmask, a different but equally
-        deterministic rule than the knapsack path; callers only rely on the
-        excess value being the exact maximum.
+        Sums are built item by item, last item first, so list order is the
+        lexicographic order of the count vectors, and the first maximum of
+        (excess, winning flag) follows ``best_excess``'s tie rule.  The
+        kernel vectors are folded into one integer combination, in a base
+        above twice any of their sums, that vanishes exactly where all do.
         """
-        import numpy as np
-
-        dim = self.dim
-        wsum = np.zeros(1, dtype=np.int64)
-        csum = np.zeros(1, dtype=object)
-        for k in range(dim):
-            wsum = np.concatenate([wsum, wsum + self.weights[k]])
-            csum = np.concatenate([csum, csum + costs[k]])
-        win = wsum >= self.win_cut
-        num = np.where(win, denom, 0).astype(object) - csum
-
-        fixed = np.ones(1 << dim, dtype=bool)
+        size = math.prod(c + 1 for c in self.counts)
+        if size > _SCAN_CAP:
+            raise EnumerationLimit(
+                f"oracle fallback scan of {size} count vectors (cap {_SCAN_CAP})")
+        fold, base = [0] * self.dim, 1
         for kv in kernel:
-            ksum = np.zeros(1, dtype=object)
-            for k in range(dim):
-                ksum = np.concatenate([ksum, ksum + kv[k]])
-            fixed &= ksum == 0
-        eligible = ~fixed
+            fold = [f + base * d for f, d in zip(fold, kv)]
+            base *= 2 * sum(c * abs(d) for c, d in zip(self.counts, kv)) + 1
+        # per vector: weight, minus twice the cost, folded kernel sum
+        wsum, csum, ksum = [0], [0], [0]
+        for w, c, f, n in reversed(list(zip(self.weights, costs, fold, self.counts))):
+            wsum = _prepend_item(wsum, w, n)
+            csum = _prepend_item(csum, -2 * c, n)
+            ksum = _prepend_item(ksum, f, n)
+        # key: twice the excess numerator, plus one if winning; vectors that
+        # are fixed or excluded get a key below every other
+        win_key, cut, low = 2 * denom + 1, self.win_cut, min(csum) - 1
+        keys = [(win_key + c if w >= cut else c) if f else low
+                for w, c, f in zip(wsum, csum, ksum)]
         for vec in exclude:
-            mask = 0
-            for k, j in enumerate(vec):
-                if j:
-                    mask |= 1 << k
-            eligible[mask] = False
-
-        idx = np.nonzero(eligible)[0]
-        if idx.size == 0:
+            idx = 0
+            for j, n in zip(vec, self.counts):
+                idx = idx * (n + 1) + j
+            keys[idx] = low
+        top = max(keys)
+        if top == low:
             return None
-        vals = num[idx]
-        pos = int(np.argmax(vals))
-        mask = int(idx[pos])
-        vec = tuple((mask >> k) & 1 for k in range(dim))
-        return vec, Fraction(int(vals[pos]), denom)
+        idx, vec = keys.index(top), []
+        for n in reversed(self.counts):
+            idx, j = divmod(idx, n + 1)
+            vec.append(j)
+        return tuple(reversed(vec)), Fraction(top >> 1, denom)
 
     # -- expansion back to players -------------------------------------------
 

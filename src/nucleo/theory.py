@@ -438,18 +438,19 @@ class _MaximalLosingSearch:
 
 
 def _verify_witness(ri: Representation, witness: Representation) -> None:
-    """Winning-set equality via reachable weight pairs of the two systems."""
+    """Winning-set equality via reachable weight pairs, the witness scaled to integers."""
+    wi = witness.to_integer()
     table = ri.weight_types()
     orig_weights = [int(w) for w in table.weights]
     counts = list(table.counts)
-    seen: dict[int, Fraction] = {}
-    for w, x in zip(ri.original_weights, witness.original_weights):
-        seen.setdefault(int(w), x)
+    seen: dict[int, int] = {}
+    for w, x in zip(ri.original_weights, wi.original_weights):
+        seen.setdefault(int(w), int(x))
     per_type_witness = [seen[w] for w in orig_weights]
 
     # enumerate joint reachable (orig weight, witness weight) combinations per
     # type counts; equivalence must hold for every reachable pair
-    combos = {(0, Fraction(0))}
+    combos = {(0, 0)}
     for wk, xk, ck in zip(orig_weights, per_type_witness, counts):
         new = set()
         for j in range(ck + 1):
@@ -459,10 +460,11 @@ def _verify_witness(ri: Representation, witness: Representation) -> None:
         combos = new
         if len(combos) > 2_000_000:
             raise EnumerationLimit("witness verification lattice too large")
+    cut, witness_cut = min_winning_weight(ri), min_winning_weight(wi)
     for a, b in combos:
-        if (Fraction(a) >= ri.quota) != (b >= witness.quota):
+        if (a >= cut) != (b >= witness_cut):
             raise IdentityViolation("homogeneity witness induces a different game")
-    if not is_homogeneous_rep(witness):
+    if not is_homogeneous_rep(wi):
         raise IdentityViolation("homogeneity witness is not homogeneous")
 
 

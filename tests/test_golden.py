@@ -36,6 +36,15 @@ GAMES = (
     "21 ; 7 1 8 7 2 0",
     "29 ; 9 2 8 2 5 3 3",
     "40 ; 9 8 7 7 1 9 2",
+    # criterion-6 corpus games whose brute solve stalls the knapsack search
+    # and falls back to the full scan of the count lattice
+    "26 ; 4 2 4 3 1 2 2 4 1 2 3 1",
+    "40 ; 2 3 2 0 4 2 1 2*5 1 4 2 6 7",
+    "23 ; 3 1 2 4 1 3 1 4 3 3 1",
+    # a criterion-6 corpus game whose brute stall ends in a tie between
+    # {3, 7} and {7, 8}; the knapsack's tie rule (a winning vector, then the
+    # lexicographically smallest count vector) picks {3, 7}
+    "9 ; 3 7 1 4 9 5 8 8 7 8 4",
     # n = 8 with total weight near 5000: the oracle's lattice scan is
     # cheaper than its weight DP here
     "2389; 547 909 228 205 344 882 427 1235",

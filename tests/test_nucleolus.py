@@ -1,12 +1,23 @@
+import importlib
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from nucleo import coalitions
+from nucleo.cli import main
 from nucleo.coalitions import EnumerationLimit, all_profiles, ordered_excess_vector
 from nucleo.games import representation
 from nucleo.nucleolus import NoImputation, _ItemSpace, _start, nucleolus, nucleus_box
+
+# the module, which the package's ``nucleolus`` function shadows
+nucleolus_module = importlib.import_module("nucleo.nucleolus")
 
 import oracles
 
@@ -184,7 +195,7 @@ def test_nucleus_box_unanimity_is_whole_imputation_set():
 
 
 # ---------------------------------------------------------------------------
-# the oracle's full-scan fallbacks, run when the knapsack search stalls
+# the oracle's full-scan fallback, run when the knapsack search stalls
 # ---------------------------------------------------------------------------
 
 
@@ -213,60 +224,98 @@ def movable(vec, kernel):
     return any(sum(j * d for j, d in zip(vec, kv)) for kv in kernel)
 
 
-def test_scan_best_masks_matches_brute_max_excess():
-    rng = random.Random(3131)
+def brute_best_value(rep, granularity, y, kernel, exclude):
+    """The largest excess of a movable vector outside ``exclude``, by listing
+    every coalition (players) or every profile (types); None if none."""
+    if granularity == "player":
+        x = rep.to_input_order(y)
+        skip = set()
+        for S in oracles.coalitions(rep.n):
+            vec = rep.to_sorted_order([int(i in S) for i in range(rep.n)])
+            if vec in exclude or not movable(vec, kernel):
+                skip.add(S)
+        best = oracles.brute_max_excess(rep, x, skip)
+        return None if best is None else best[0]
+    best = None
+    for prof in all_profiles(rep):
+        if prof.counts in exclude or not movable(prof.counts, kernel):
+            continue
+        e = (1 if prof.weight >= rep.quota else 0) - sum(
+            (j * yk for j, yk in zip(prof.counts, y)), F(0))
+        best = e if best is None or e > best else best
+    return best
+
+
+@pytest.mark.parametrize("granularity", ["player", "type"])
+def test_scan_best_matches_brute_reference(granularity, monkeypatch, capsys):
+    rng = random.Random(3131 if granularity == "player" else 4242)
     checked = 0
     while checked < 40:
-        n = rng.randint(3, 8)
-        ws = [rng.randint(1, 6) for _ in range(n)]
+        n = rng.randint(3, 8) if granularity == "player" else rng.randint(4, 14)
+        ws = [rng.randint(1, 6 if granularity == "player" else 4) for _ in range(n)]
         rep = representation(rng.randint(2, sum(ws)), ws)
         if not oracles.has_imputation(rep):
             continue
-        space, kernel, costs, denom, exclude = scan_setup(rep, "player", rng)
-        x = rep.to_input_order([F(c, denom) for c in costs])
-        as_vec = {S: rep.to_sorted_order([int(i in S) for i in range(n)])
-                  for S in oracles.coalitions(n)}
-        skip = {S for S, vec in as_vec.items() if vec in exclude or not movable(vec, kernel)}
-        expect = oracles.brute_max_excess(rep, x, skip)
-        got = space._scan_best_masks(costs, denom, kernel, exclude)
-        assert got == space._scan_best(costs, denom, kernel, exclude)
+        if granularity == "type" and rep.weight_types().t < 2:
+            continue
+        space, kernel, costs, denom, exclude = scan_setup(rep, granularity, rng)
+        y = [F(c, denom) for c in costs]
+        got = space._scan_best(costs, denom, kernel, exclude)
+        # the knapsack's own answer once its rejection budget cannot run out
+        with monkeypatch.context() as m:
+            m.setattr(coalitions, "_MAX_POPS", 10**9)
+            assert got == space.best_excess(y, kernel, exclude)
+        expect = brute_best_value(rep, granularity, y, kernel, exclude)
         if expect is None:
             assert got is None
             continue
         vec, value = got
-        assert value == expect[0]
-        assert vec not in exclude and movable(vec, kernel)
-        assert space.excess_at(vec, [F(c, denom) for c in costs]) == value
-        assert space.best_excess([F(c, denom) for c in costs], kernel, exclude)[1] == value
-        checked += 1
-
-
-def test_scan_best_type_lattice_matches_profile_scan():
-    rng = random.Random(4242)
-    checked = 0
-    while checked < 40:
-        n = rng.randint(4, 14)
-        ws = [rng.randint(1, 4) for _ in range(n)]
-        rep = representation(rng.randint(2, sum(ws)), ws)
-        if rep.weight_types().t < 2 or not oracles.has_imputation(rep):
-            continue
-        space, kernel, costs, denom, exclude = scan_setup(rep, "type", rng)
-        y = [F(c, denom) for c in costs]
-        best = None
-        for prof in all_profiles(rep):
-            if prof.counts in exclude or not movable(prof.counts, kernel):
-                continue
-            e = (1 if prof.weight >= rep.quota else 0) - sum(
-                (j * yk for j, yk in zip(prof.counts, y)), F(0))
-            best = e if best is None or e > best else best
-        got = space._scan_best(costs, denom, kernel, exclude)
-        if best is None:
-            assert got is None
-            continue
-        vec, value = got
-        assert value == best
+        assert value == expect
         assert vec not in exclude and movable(vec, kernel)
         assert space.excess_at(vec, y) == value
-        assert space.best_excess(y, kernel, exclude)[1] == value
         checked += 1
+
+    # the scan lists at most _SCAN_CAP count vectors
+    size = math.prod(c + 1 for c in space.counts)
+    monkeypatch.setattr(nucleolus_module, "_SCAN_CAP", size)
+    assert space._scan_best(costs, denom, kernel, exclude) == got
+    monkeypatch.setattr(nucleolus_module, "_SCAN_CAP", size - 1)
+    with pytest.raises(EnumerationLimit, match="fallback scan"):
+        space._scan_best(costs, denom, kernel, exclude)
+
+    # a stall past the cap ends the solve with the resource-limit exit code;
+    # the brute solve of this game stalls on its own, the typed one is made
+    # to stall at its first rejected candidate
+    monkeypatch.setattr(nucleolus_module, "_SCAN_CAP", 8)
+    if granularity == "type":
+        monkeypatch.setattr(coalitions, "_MAX_POPS", 0)
+    engine = "brute" if granularity == "player" else "typed"
+    code = main(["solve", "--engine", engine, "23 ; 3 1 2 4 1 3 1 4 3 3 1"])
+    assert code == 3
+    assert "fallback scan" in capsys.readouterr().err
+
+
+def test_scan_best_prefers_a_winning_vector_on_a_tie():
+    # {3} loses and {2, 3} wins, both at excess 0, and {3} comes first
+    space = _ItemSpace(representation(2, [1, 1, 1]), "player")
+    kernel = [[1, 1, 1]]
+    want = ((0, 1, 1), F(0))
+    assert space._scan_best((1, 1, 0), 1, kernel, frozenset()) == want
+    assert space.best_excess((F(1), F(1), F(0)), kernel) == want
+
+
+def test_stalling_brute_solve_does_not_import_numpy():
+    script = (
+        "import sys\n"
+        "from nucleo.gameio import parse_game\n"
+        "from nucleo.nucleolus import nucleolus\n"
+        "nucleolus(parse_game('9 ; 3 7 1 4 9 5 8 8 7 8 4'), engine='brute')\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 

@@ -10,8 +10,10 @@ from nucleo.games import representation
 from nucleo.nucleolus import nucleolus
 from nucleo.theory import (
     DegenerateQuota,
+    IdentityViolation,
     WeightAbsent,
     _maximal_losing_profiles,
+    _verify_witness,
     coincidence_report,
     distance_bound,
     gap_report,
@@ -240,6 +242,19 @@ def test_permits_homogeneous_witness_verified_exhaustively():
             assert rep.is_winning(S) == witness.is_winning(S)
         assert oracles.brute_is_homogeneous(witness)
     assert found >= 5
+
+
+def test_verify_witness_checks_game_and_homogeneity():
+    # a fractional witness is scaled to integers: the normalized homogeneous
+    # weights of the textbook game pass
+    _verify_witness(representation(8, [6, 4, 3, 2]),
+                    representation(F(3, 5), [F(2, 5), F(1, 5), F(1, 5), F(1, 5)]))
+    # {2, 3} loses at quota 3 and wins at quota 2
+    with pytest.raises(IdentityViolation, match="induces a different game"):
+        _verify_witness(representation(3, [2, 1, 1, 1]), representation(2, [1, 1, 1, 1]))
+    # the game itself, halved: its minimal winning coalitions weigh 7 and 5
+    with pytest.raises(IdentityViolation, match="not homogeneous"):
+        _verify_witness(representation(5, [4, 3, 2]), representation(F(5, 2), [2, F(3, 2), 1]))
 
 
 def test_permits_homogeneous_matches_brute_lp():
