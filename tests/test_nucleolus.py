@@ -194,6 +194,39 @@ def test_nucleus_box_unanimity_is_whole_imputation_set():
     assert box.upper == (F(1), F(1))
 
 
+NUCLEUS_BOXES = [
+    # (quota, input weights, engine, lower, upper); the boxes of the first
+    # game are not points, and the players are unsorted with a null player
+    (6, [1, 4, 0, 2, 2, 3], "brute",
+     ["0", "1/4", "0", "0", "0", "1/6"], ["1/6", "1/2", "0", "1/4", "1/4", "1/2"]),
+    (6, [1, 4, 0, 2, 2, 3], "typed",
+     ["0", "1/4", "0", "0", "0", "1/6"], ["1/6", "1/2", "0", "1/4", "1/4", "1/2"]),
+    # fractional weights: the box over all imputations is wider than the one
+    # over weight-symmetric payoffs, which is the nucleolus
+    ("1/2", ["3/10", 0, "1/5", "3/10", "1/5"], "brute",
+     ["1/4", "0", "0", "1/4", "0"], ["1/2", "0", "1/4", "1/2", "1/4"]),
+    ("1/2", ["3/10", 0, "1/5", "3/10", "1/5"], "typed",
+     ["1/3", "0", "1/6", "1/3", "1/6"], ["1/3", "0", "1/6", "1/3", "1/6"]),
+    ("5/3", ["1/3", "4/3", 0, "2/3", "2/3", 1], "brute",
+     ["1/7", "2/7", "0", "1/7", "1/7", "2/7"], ["1/7", "2/7", "0", "1/7", "1/7", "2/7"]),
+    ("5/3", ["1/3", "4/3", 0, "2/3", "2/3", 1], "typed",
+     ["1/7", "2/7", "0", "1/7", "1/7", "2/7"], ["1/7", "2/7", "0", "1/7", "1/7", "2/7"]),
+    (10, [1, 5, 3, 4, 2], "brute",
+     ["0", "1/3", "0", "1/6", "0"], ["1/6", "1/3", "1/3", "1/3", "1/3"]),
+    (10, [1, 5, 3, 4, 2], "typed",
+     ["0", "1/3", "0", "1/6", "0"], ["1/6", "1/3", "1/3", "1/3", "1/3"]),
+]
+
+
+@pytest.mark.parametrize("quota, weights, engine, lower, upper", NUCLEUS_BOXES)
+def test_nucleus_box_exact_values(quota, weights, engine, lower, upper):
+    rep = representation(F(quota), [F(w) for w in weights])
+    box = nucleus_box(rep, engine=engine)
+    assert box.lower == tuple(F(v) for v in lower)
+    assert box.upper == tuple(F(v) for v in upper)
+    assert all(type(v) is F for v in box.lower + box.upper)
+
+
 # ---------------------------------------------------------------------------
 # the oracle's full-scan fallback, run when the knapsack search stalls
 # ---------------------------------------------------------------------------
