@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .games import GameError, Representation
+from .games import GameError, Representation, _to_fraction
 
 DEFAULT_ENUMERATION_LIMIT = 20
 
@@ -66,7 +66,7 @@ def coalition_value(rep: Representation, players: Iterable[int]) -> int:
 
 def excess(rep: Representation, players: Iterable[int], x: Sequence) -> Fraction:
     """e(S, x) = v(S) - x(S), with x in input player order."""
-    xs = [Fraction(v) for v in x]
+    xs = [_to_fraction(v) for v in x]
     if len(xs) != rep.n:
         raise DimensionMismatch(f"payoff vector has length {len(xs)}, game has {rep.n} players")
     members = list(players)
@@ -144,7 +144,7 @@ def ordered_excess_vector(rep: Representation, x: Sequence,
     coalition bitmask ascending (bit i of the mask is input player i)."""
     if rep.n > limit:
         raise EnumerationLimit(f"{rep.n} players exceeds enumeration limit {limit}")
-    xs = [Fraction(v) for v in x]
+    xs = [_to_fraction(v) for v in x]
     if len(xs) != rep.n:
         raise DimensionMismatch(f"payoff vector has length {len(xs)}, game has {rep.n} players")
 

@@ -7,9 +7,10 @@ point once the system pins one.  The homogeneity search feeds it one integer
 row per minimal winning coalition or profile, tens of thousands of them.
 
 Rows are stored fraction-free (Bareiss 1968): integer vectors, so reducing an
-incoming row costs integer products only.  ``Fraction`` enters only where a
-caller passes it in (scaled by its denominators' lcm) or asks for the
-rational view ``EchelonSystem.rows``.
+incoming row costs integer products only, and the exact LPs take the stored
+rows as they are.  ``Fraction`` enters only where a caller passes it in (scaled
+by its denominators' lcm), in the point ``solve_unique`` returns and in the
+residual an inconsistent row reports.
 """
 
 from __future__ import annotations
@@ -30,35 +31,25 @@ class UnderdeterminedSystem(RuntimeError):
 class EchelonSystem:
     """Affine rows ``a . x = b`` kept in reduced row echelon form.
 
-    Each stored row is a list of ``dim + 1`` integers, rhs last, divided by
-    the gcd of its entries; its pivot entry is positive and every other row
-    is zero in its pivot column.  ``rows`` is the same system over
-    ``Fraction`` with each pivot scaled to 1, built on first use after an
-    independent row is added and cached until the next.  A reduced system
-    is unique given its pivot columns, so ``rows`` equals the rows of the
-    rational elimination that scales each pivot to 1 as the row comes in.
+    ``rows[i]`` is a list of ``dim + 1`` integers, rhs last, divided by the
+    gcd of its entries; its entry in column ``pivot_cols[i]`` is positive and
+    every other row is zero in that column.  A reduced system is unique
+    given its pivot columns, so each row divided by its pivot entry is the
+    row of the rational elimination that scales each pivot to 1 as the row
+    comes in.  Callers read ``rows`` and must not change them.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.pivot_cols: list[int] = []
-        self._int_rows: list[list[int]] = []
+        self.rows: list[list[int]] = []
         self._free_cols = list(range(dim))  # non-pivot columns, ascending
         self._pivot_lcm = 1                 # lcm of the pivot entries
         self._scaled: list[tuple[int, int, list[int]]] = []  # (pivot col, lcm // pivot, row)
-        self._rows: list[list[Fraction]] | None = []
 
     @property
     def rank(self) -> int:
-        return len(self._int_rows)
-
-    @property
-    def rows(self) -> list[list[Fraction]]:
-        """The rows over ``Fraction``, pivot entries 1, rhs last."""
-        if self._rows is None:
-            self._rows = [[Fraction(c, row[pc]) for c in row]
-                          for row, pc in zip(self._int_rows, self.pivot_cols)]
-        return self._rows
+        return len(self.rows)
 
     def add_row(self, vec: Sequence, rhs) -> bool:
         """Add ``vec . x = rhs``; returns True iff the row was independent.
@@ -84,7 +75,8 @@ class EchelonSystem:
                 # the residual of the rational reduction, which reduces by
                 # the pivot-1 rows with coefficients vec[pc]
                 r = Fraction(rhs) - sum(
-                    (Fraction(vec[pc]) * row[dim] for row, pc in zip(self.rows, self.pivot_cols)),
+                    (Fraction(vec[pc]) * Fraction(row[dim], row[pc])
+                     for row, pc in zip(self.rows, self.pivot_cols)),
                     Fraction(0))
                 raise InconsistentSystem(f"inconsistent row (residual rhs {r})")
             return False
@@ -95,17 +87,16 @@ class EchelonSystem:
         new = _primitive(new, new[pc])
         p = new[pc]
         # back-substitute into existing rows to keep reduced form
-        for i, row in enumerate(self._int_rows):
+        for i, row in enumerate(self.rows):
             f = row[pc]
             if f:
-                self._int_rows[i] = _primitive([a * p - f * b for a, b in zip(row, new)], 1)
-        self._int_rows.append(new)
+                self.rows[i] = _primitive([a * p - f * b for a, b in zip(row, new)], 1)
+        self.rows.append(new)
         self.pivot_cols.append(pc)
         self._free_cols.remove(pc)
-        lcm = math.lcm(*(row[c] for row, c in zip(self._int_rows, self.pivot_cols)))
+        lcm = math.lcm(*(row[c] for row, c in zip(self.rows, self.pivot_cols)))
         self._pivot_lcm = lcm
-        self._scaled = [(c, lcm // row[c], row) for row, c in zip(self._int_rows, self.pivot_cols)]
-        self._rows = None
+        self._scaled = [(c, lcm // row[c], row) for row, c in zip(self.rows, self.pivot_cols)]
         return True
 
     def kernel_basis_int(self) -> list[list[int]]:
@@ -123,7 +114,7 @@ class EchelonSystem:
         if self.rank != self.dim:
             raise UnderdeterminedSystem("system does not pin a unique point")
         x = [Fraction(0)] * self.dim
-        for row, pc in zip(self._int_rows, self.pivot_cols):
+        for row, pc in zip(self.rows, self.pivot_cols):
             x[pc] = Fraction(row[self.dim], row[pc])
         return tuple(x)
 

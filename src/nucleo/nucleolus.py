@@ -25,6 +25,7 @@ get one auxiliary LP each over the optimal face.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,25 +145,38 @@ def _prepend_item(sums: list[int], step: int, count: int) -> list[int]:
 
 
 class _ItemSpace:
-    """LP variables are per-class payoffs; pool vectors are class-count tuples."""
+    """LP variables are per-class payoffs; pool vectors are class-count tuples.
+
+    The classes are the positive-weight players of the caller's game, one
+    per player (``"player"``) or one per weight type (``"type"``), in
+    descending weight order.  ``rep`` is their subgame with its weights
+    scaled to integers.  Null players belong to no class and are paid 0.
+    """
 
     def __init__(self, rep: Representation, granularity: str):
-        # rep must have integer weights, all strictly positive
+        self.n = rep.n
+        weights = rep.original_weights
+        keep = [i for i, w in enumerate(weights) if w > 0]
+        if len(keep) < rep.n:
+            rep = representation(rep.quota, [weights[i] for i in keep])
+        if not rep.has_integer_weights():
+            rep = rep.to_integer()
         self.rep = rep
         if granularity == "player":
             classes = [(int(w), 1) for w in rep.weights]  # sorted order
         else:
             table = rep.weight_types()
             classes = [(int(w), c) for w, c in table.entries]
+        # per class, the caller's indices of its players
+        players = iter([keep[i] for i in rep.input_order])
+        self.members = [list(itertools.islice(players, c)) for _, c in classes]
         self.granularity = granularity
         self.weights = tuple(w for w, _ in classes)
         self.counts = tuple(c for _, c in classes)
         self.dim = len(classes)
         self.total_weight = sum(w * c for w, c in zip(self.weights, self.counts))
         self.win_cut = min_winning_weight(rep)
-        self.lower_bounds = tuple(
-            Fraction(1) if w >= rep.quota else Fraction(0) for w in self.weights
-        )
+        self.lower_bounds = tuple(1 if w >= rep.quota else 0 for w in self.weights)
         self.full = tuple(self.counts)
         self.zero = tuple(0 for _ in classes)
 
@@ -192,9 +206,8 @@ class _ItemSpace:
 
     # -- separation oracle ---------------------------------------------------
 
-    def best_excess(self, y: Sequence[Fraction], kernel: list[list[int]],
-                    exclude: frozenset = frozenset()):
-        """Maximum-excess movable pool vector outside ``exclude``, or None.
+    def best_excess(self, y: Sequence[Fraction], kernel: list[list[int]]):
+        """Maximum-excess movable pool vector, or None.
 
         Ties prefer a winning coalition, then the lexicographically smallest
         count vector (the knapsack's enumeration order, which ``_scan_best``
@@ -204,7 +217,7 @@ class _ItemSpace:
         costs = tuple(int(v * denom) for v in y)
 
         def acceptable(vec: tuple[int, ...]) -> bool:
-            return vec not in exclude and _movable(vec, kernel)
+            return _movable(vec, kernel)
 
         try:
             win = min_cost_selection(self.weights, self.counts, costs,
@@ -216,7 +229,7 @@ class _ItemSpace:
                                           0, self.win_cut - 1,
                                           accept=acceptable)
         except OracleStall:
-            return self._scan_best(costs, denom, kernel, exclude)
+            return self._scan_best(costs, denom, kernel)
 
         best = None  # (excess numerator, winning flag, vec)
         if win is not None:
@@ -227,7 +240,7 @@ class _ItemSpace:
             return None
         return tuple(best[2]), Fraction(best[0], denom)
 
-    def _scan_best(self, costs, denom, kernel, exclude):
+    def _scan_best(self, costs, denom, kernel):
         """The knapsack's answer with no rejection budget, by a full scan of
         at most ``_SCAN_CAP`` count vectors (``EnumerationLimit`` beyond).
 
@@ -251,16 +264,11 @@ class _ItemSpace:
             wsum = _prepend_item(wsum, w, n)
             csum = _prepend_item(csum, -2 * c, n)
             ksum = _prepend_item(ksum, f, n)
-        # key: twice the excess numerator, plus one if winning; vectors that
-        # are fixed or excluded get a key below every other
+        # key: twice the excess numerator, plus one if winning; fixed
+        # vectors get a key below every other
         win_key, cut, low = 2 * denom + 1, self.win_cut, min(csum) - 1
         keys = [(win_key + c if w >= cut else c) if f else low
                 for w, c, f in zip(wsum, csum, ksum)]
-        for vec in exclude:
-            idx = 0
-            for j, n in zip(vec, self.counts):
-                idx = idx * (n + 1) + j
-            keys[idx] = low
         top = max(keys)
         if top == low:
             return None
@@ -270,23 +278,20 @@ class _ItemSpace:
             vec.append(j)
         return tuple(reversed(vec)), Fraction(top >> 1, denom)
 
-    # -- expansion back to players -------------------------------------------
+    # -- back to the caller's players ----------------------------------------
 
-    def payoff_per_sorted_player(self, y: Sequence[Fraction]) -> list[Fraction]:
-        if self.granularity == "player":
-            return list(y)
-        out = []
-        table = self.rep.weight_types()
-        for (w, count), yk in zip(table.entries, y):
-            out.extend([yk] * count)
-        return out
+    def to_input(self, y: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """One payoff per class as one per player, in the caller's order."""
+        x = [Fraction(0)] * self.n
+        for yk, players in zip(y, self.members):
+            for i in players:
+                x[i] = yk
+        return tuple(x)
 
-    def describe(self, vec: tuple[int, ...], to_full_input) -> object:
+    def describe(self, vec: tuple[int, ...]) -> object:
+        """A pool vector as a set of the caller's players, or as a profile."""
         if self.granularity == "player":
-            return frozenset(
-                to_full_input(self.rep.input_order[k])
-                for k, j in enumerate(vec) if j
-            )
+            return frozenset(self.members[k][0] for k, j in enumerate(vec) if j)
         return ProfileCoalition.of(self.rep, vec)
 
 
@@ -303,10 +308,10 @@ def _solve_master(space: _ItemSpace, system: EchelonSystem, working: list):
         num_vars=dim + 1,
         objective=(0,) * dim + (1,),
         sense="min",
-        lower_bounds=tuple(list(space.lower_bounds) + [None]),
+        lower_bounds=space.lower_bounds + (None,),
     )
     for row in system.rows:
-        lp.add_constraint(list(row[:dim]) + [0], "=", row[dim])
+        lp.add_constraint(row[:dim] + [0], "=", row[dim])
     for vec in working:
         lp.add_constraint(list(vec) + [1], ">=", space.value(vec))
     sol = solve(lp)
@@ -319,7 +324,7 @@ def _solve_master(space: _ItemSpace, system: EchelonSystem, working: list):
 
 
 def _optimize_over_face(space: _ItemSpace, system: EchelonSystem, working: list,
-                        eps: Fraction, objective: Sequence[Fraction], sense: str,
+                        eps: Fraction, objective: Sequence[int], sense: str,
                         kernel, stop_at: Fraction | None = None) -> Fraction:
     """Exact optimum of a payoff functional over the current optimal face.
 
@@ -337,7 +342,7 @@ def _optimize_over_face(space: _ItemSpace, system: EchelonSystem, working: list,
             lower_bounds=space.lower_bounds,
         )
         for row in system.rows:
-            lp.add_constraint(list(row[:dim]), "=", row[dim])
+            lp.add_constraint(row[:dim], "=", row[dim])
         for vec in working:
             lp.add_constraint(list(vec), ">=", space.value(vec) - eps)
         sol = solve(lp)
@@ -354,10 +359,9 @@ def _optimize_over_face(space: _ItemSpace, system: EchelonSystem, working: list,
 def _always_tight(space: _ItemSpace, system: EchelonSystem, working: list,
                   eps: Fraction, vec: tuple[int, ...], kernel) -> bool:
     """Whether e(vec, .) = eps on the entire optimal face of this stage."""
-    objective = [Fraction(j) for j in vec]
-    floor = Fraction(space.value(vec)) - eps
+    floor = space.value(vec) - eps
     best_paid = _optimize_over_face(space, system, working, eps,
-                                    objective, "max", kernel, stop_at=floor)
+                                    vec, "max", kernel, stop_at=floor)
     if best_paid < floor:  # the face contains a witness paying exactly floor
         raise SolverError("face optimization below known witness")
     return best_paid == floor
@@ -366,13 +370,10 @@ def _always_tight(space: _ItemSpace, system: EchelonSystem, working: list,
 def _start(space: _ItemSpace):
     """The efficiency system and the seed pool, once individual rationality
     leaves room for an imputation; returns (system, working)."""
-    lb_total = sum(
-        (lb * c for lb, c in zip(space.lower_bounds, space.counts)), Fraction(0)
-    )
-    if lb_total > 1:
+    if sum(lb * c for lb, c in zip(space.lower_bounds, space.counts)) > 1:
         raise NoImputation("individual rationality demands more than the total payoff")
     system = EchelonSystem(space.dim)
-    system.add_row([Fraction(c) for c in space.counts], Fraction(1))  # efficiency
+    system.add_row(space.counts, 1)  # efficiency
     working: list[tuple[int, ...]] = list(dict.fromkeys(space.seeds()))
     return system, working
 
@@ -388,7 +389,7 @@ def _stage_level(space: _ItemSpace, system: EchelonSystem, working: list, kernel
         working.append(viol[0])
 
 
-def _sequential_nucleolus(space: _ItemSpace, to_full_input):
+def _sequential_nucleolus(space: _ItemSpace):
     """Returns (payoff per class, levels, stage count)."""
     dim = space.dim
     system, working = _start(space)
@@ -410,32 +411,20 @@ def _sequential_nucleolus(space: _ItemSpace, to_full_input):
 
         # constraints tight at every optimum of this stage: a positive dual
         # value proves it (complementary slackness); zero-dual actives get an
-        # auxiliary LP over the optimal face, one each
-        frozen: list[tuple[int, ...]] = []
-        tested: set[tuple[int, ...]] = set()
-        for vec, dual in zip(working, work_duals):
-            if dual > 0:
+        # auxiliary LP over the optimal face, one each.  eps has cost 1 and
+        # coefficient 1 in every working row, so the working duals sum to 1
+        # and at least one row is frozen.
+        frozen = [vec for vec, dual in zip(working, work_duals) if dual > 0]
+        if not frozen:
+            raise SolverError("no positive dual at the stage optimum")
+        for vec, dual in zip(list(working), work_duals):
+            if dual > 0 or space.excess_at(vec, y) != eps:
+                continue
+            if _always_tight(space, system, working, eps, vec, kernel):
                 frozen.append(vec)
-                tested.add(vec)
-        while True:
-            for vec in list(working):
-                if vec in tested:
-                    continue
-                if space.excess_at(vec, y) != eps:
-                    continue
-                tested.add(vec)
-                if _always_tight(space, system, working, eps, vec, kernel):
-                    frozen.append(vec)
-            if frozen:
-                break
-            extra = space.best_excess(y, kernel, exclude=frozenset(working))
-            if extra is None or extra[1] != eps:
-                raise SolverError("no always-tight constraint found at this stage")
-            working.append(extra[0])
 
         for vec in frozen:
-            system.add_row([Fraction(j) for j in vec],
-                           Fraction(space.value(vec)) - eps)
+            system.add_row(vec, space.value(vec) - eps)
             working.remove(vec)
         if levels and levels[-1][0] == eps:
             levels[-1][1].extend(frozen)
@@ -450,7 +439,7 @@ def _sequential_nucleolus(space: _ItemSpace, to_full_input):
             raise SolverError("solution violates individual rationality")
     level_objs = tuple(
         Level(epsilon=eps,
-              coalitions=tuple(space.describe(v, to_full_input) for v in vecs))
+              coalitions=tuple(space.describe(v) for v in vecs))
         for eps, vecs in levels
     )
     return y, level_objs, stages
@@ -461,45 +450,21 @@ def _sequential_nucleolus(space: _ItemSpace, to_full_input):
 # ---------------------------------------------------------------------------
 
 
-def _strip_zero_weights(rep: Representation):
-    """Positive-weight subgame plus the map from its input order to the full one."""
-    orig = rep.original_weights
-    keep = [i for i, w in enumerate(orig) if w > 0]
-    if len(keep) == rep.n:
-        return rep, list(range(rep.n))
-    sub = representation(rep.quota, [orig[i] for i in keep])
-    return sub, keep
-
-
-def _pick_engine(rep: Representation, engine: str, max_brute: int) -> str:
+def _prepare_space(rep: Representation, engine: str, max_brute_players: int):
+    """The solving space of ``rep`` and the engine that runs on it; the
+    player count and the weight types exclude the null players."""
     if engine not in ("auto", "brute", "typed"):
         raise GameError(f"unknown engine {engine!r}")
+    table = rep.weight_types()
+    nulls = table.multiplicity_of(0)
+    players, t = rep.n - nulls, table.t - (nulls > 0)
     if engine == "auto":
-        t = rep.weight_types().t
-        return "typed" if (rep.n > max_brute or t <= 6) else "brute"
-    return engine
-
-
-def _prepare_space(rep: Representation, engine: str, max_brute_players: int):
-    sub, keep = _strip_zero_weights(rep)
-    chosen = _pick_engine(sub, engine, max_brute_players)
-    if chosen == "brute" and sub.n > max_brute_players:
+        engine = "typed" if (players > max_brute_players or t <= 6) else "brute"
+    if engine == "brute" and players > max_brute_players:
         raise EnumerationLimit(
-            f"brute engine limited to {max_brute_players} players, game has {sub.n}"
+            f"brute engine limited to {max_brute_players} players, game has {players}"
         )
-    work_rep = sub if sub.has_integer_weights() else sub.to_integer()
-    space = _ItemSpace(work_rep, "player" if chosen == "brute" else "type")
-    return space, work_rep, keep, chosen
-
-
-def _expand_to_full(space: _ItemSpace, work_rep: Representation, keep: list[int],
-                    per_class: Sequence[Fraction], n_full: int) -> list[Fraction]:
-    per_sorted = space.payoff_per_sorted_player(per_class)
-    per_sub_input = work_rep.to_input_order(per_sorted)
-    full = [Fraction(0)] * n_full
-    for sub_i, full_i in enumerate(keep):
-        full[full_i] = per_sub_input[sub_i]
-    return full
+    return _ItemSpace(rep, "player" if engine == "brute" else "type"), engine
 
 
 def nucleolus(rep: Representation, engine: str = "auto",
@@ -511,15 +476,10 @@ def nucleolus(rep: Representation, engine: str = "auto",
     games with many players or few distinct weights.  Zero-weight players
     receive payoff 0 and are removed before the engines run.
     """
-    space, work_rep, keep, chosen = _prepare_space(rep, engine, max_brute_players)
-
-    def to_full_input(sub_input_index: int) -> int:
-        return keep[sub_input_index]
-
-    y, levels, stages = _sequential_nucleolus(space, to_full_input)
-    x_full = _expand_to_full(space, work_rep, keep, y, rep.n)
+    space, chosen = _prepare_space(rep, engine, max_brute_players)
+    y, levels, stages = _sequential_nucleolus(space)
     return NucleolusResult(
-        x_star=tuple(x_full),
+        x_star=space.to_input(y),
         levels=levels,
         engine=chosen,
         stages=stages,
@@ -534,7 +494,7 @@ def nucleus_box(rep: Representation, engine: str = "auto",
     The largest excess includes the constant-0 excess of the empty and
     grand coalitions, so the minimum is never below 0.
     """
-    space, work_rep, keep, _ = _prepare_space(rep, engine, max_brute_players)
+    space, _ = _prepare_space(rep, engine, max_brute_players)
     dim = space.dim
     system, working = _start(space)
     if system.rank == dim:
@@ -546,13 +506,10 @@ def nucleus_box(rep: Representation, engine: str = "auto",
         eps_face = max(eps, Fraction(0))
         lower, upper = [], []
         for k in range(dim):
-            obj = [Fraction(0)] * dim
-            obj[k] = Fraction(1)
+            obj = [0] * dim
+            obj[k] = 1
             lower.append(_optimize_over_face(space, system, working, eps_face,
                                              obj, "min", kernel))
             upper.append(_optimize_over_face(space, system, working, eps_face,
                                              obj, "max", kernel))
-
-    lo_full = _expand_to_full(space, work_rep, keep, lower, rep.n)
-    hi_full = _expand_to_full(space, work_rep, keep, upper, rep.n)
-    return NucleusBox(lower=tuple(lo_full), upper=tuple(hi_full))
+    return NucleusBox(lower=space.to_input(lower), upper=space.to_input(upper))

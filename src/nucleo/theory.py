@@ -36,7 +36,7 @@ from .coalitions import (
     reachable_weights,
 )
 from .exactlp import ExactLinearProgram, solve
-from .games import GameError, Representation, representation
+from .games import GameError, Representation, _to_fraction, representation
 from .linalg import EchelonSystem
 
 EXPLICIT_LIMIT = 16
@@ -95,7 +95,7 @@ def gap_report(rep: Representation, x_star: Sequence) -> GapReport:
     if not 0 < qb < 1:
         raise DegenerateQuota(f"normalized quota {qb} must lie strictly between 0 and 1")
     wbar = norm.to_input_order()
-    xs = tuple(Fraction(v) for v in x_star)
+    xs = tuple(_to_fraction(v) for v in x_star)
     if len(xs) != rep.n:
         raise GameError(f"payoff vector has length {len(xs)}, game has {rep.n} players")
 
@@ -304,13 +304,13 @@ def interchangeable_pairs(rep: Representation,
 # ---------------------------------------------------------------------------
 
 
-def _homogeneity_solution(eq_rows: list[list[Fraction]],
+def _homogeneity_solution(eq_rows: list[list[int]],
                           losing_rows: Callable[[], list[tuple[int, ...]]], nv: int):
     """Feasibility of the homogeneity system over (weights..., quota) with
     total weight minimized; returns the witness vector or None.
 
     Variables: v[0..nv-2] the candidate weights, v[nv-1] the quota.
-    Equalities come pre-reduced (independent rows, homogeneous rhs 0).
+    Equalities come pre-reduced (independent integer rows, homogeneous rhs 0).
     The equalities alone often already rule a homogeneous representation
     out, so ``losing_rows`` is called only once they are found feasible; its
     rows, one weight coefficient per variable but the quota, encode
@@ -318,8 +318,8 @@ def _homogeneity_solution(eq_rows: list[list[Fraction]],
     the objective is bounded below by 0, so any other status than optimal is
     an internal failure.
     """
-    objective = [Fraction(1)] * (nv - 1) + [Fraction(0)]
-    lower = [Fraction(0)] * (nv - 1) + [Fraction(1)]
+    objective = (1,) * (nv - 1) + (0,)
+    lower = (0,) * (nv - 1) + (1,)
     active: list[tuple[int, ...]] = []
     remaining = None
     rounds, max_rounds = 0, 2
@@ -329,15 +329,14 @@ def _homogeneity_solution(eq_rows: list[list[Fraction]],
             raise HomogeneitySearchError("homogeneity row generation failed to terminate")
         lp = ExactLinearProgram(
             num_vars=nv,
-            objective=tuple(objective),
+            objective=objective,
             sense="min",
-            lower_bounds=tuple(lower),
+            lower_bounds=lower,
         )
         for row in eq_rows:
             lp.add_constraint(row, "=", 0)
         for row in active:
-            coeffs = [Fraction(c) for c in row] + [Fraction(-1)]
-            lp.add_constraint(coeffs, "<=", -1)
+            lp.add_constraint([*row, -1], "<=", -1)
         sol = solve(lp)
         if sol.status == "infeasible":
             return None
@@ -380,7 +379,7 @@ def permits_homogeneous_rep(rep: Representation, profile_cap: int = 200_000):
     system = EchelonSystem(t + 1)
     for vec in minimal_winning_count_vectors(ri, cap=profile_cap):
         system.add_row([*vec, -1], 0)  # w(S) - q = 0, homogeneous so always consistent
-    eq_rows = [list(r[: t + 1]) for r in system.rows]
+    eq_rows = [r[: t + 1] for r in system.rows]
 
     vals = _homogeneity_solution(eq_rows, lambda: _maximal_losing_profiles(ri, profile_cap),
                                  t + 1)
@@ -495,7 +494,7 @@ class RegularityReport:
 def regularity_statistic(seq: Iterable[Representation], weight) -> RegularityReport:
     """m_w(n) * wbar_w(n) for each game in the sequence, with a simple flag:
     positive throughout and no new minimum in the second half of the prefix."""
-    w = Fraction(weight)
+    w = _to_fraction(weight)
     values = []
     for rep in seq:
         mult = rep.weight_types().multiplicity_of(w)

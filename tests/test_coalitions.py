@@ -38,7 +38,7 @@ def identity_kernel(dim):
     return [[int(i == j) for j in range(dim)] for i in range(dim)]
 
 
-def solver_oracle(rep, x, forbidden=()):
+def solver_oracle(rep, x):
     """The solver's max-excess oracle on the player space, as (excess,
     coalition) in input order, or None.
 
@@ -47,10 +47,8 @@ def solver_oracle(rep, x, forbidden=()):
     coalitions.  Coalitions travel as 0/1 vectors in sorted player order.
     """
     space = _ItemSpace(rep, "player")
-    exclude = frozenset(rep.to_sorted_order([int(i in S) for i in range(rep.n)])
-                        for S in forbidden)
     y = rep.to_sorted_order([F(v) for v in x])
-    found = space.best_excess(y, identity_kernel(rep.n), exclude)
+    found = space.best_excess(y, identity_kernel(rep.n))
     if found is None:
         return None
     vec, value = found
@@ -70,6 +68,14 @@ def test_excess_matches_brute_oracle():
     rep = representation(8, [6, 4, 3, 2])
     for S in oracles.coalitions(4):
         assert excess(rep, S, XSTAR_8) == oracles.brute_excess(rep, S, XSTAR_8)
+
+
+def test_float_payoffs_read_as_their_decimal():
+    # floats enter as their decimal, as in ``representation``: 0.1 is 1/10
+    rep = representation(2, [1, 1, 1])
+    x = [0.1, 0.2, 0.7]
+    assert excess(rep, {0, 1}, x) == F(7, 10)
+    assert ordered_excess_vector(rep, x)[0].excess == F(7, 10)
 
 
 def test_ordered_excess_vector_top_level():
@@ -216,29 +222,6 @@ def test_max_excess_flagship_value_cross_checked_on_scaled_instance():
     assert space.best_excess(y, identity_kernel(3))[1] == F(4, 9)
 
 
-def test_max_excess_respects_forbidden_sets():
-    rng = random.Random(42)
-    for _ in range(40):
-        n = rng.randint(2, 7)
-        ws = [rng.randint(1, 6) for _ in range(n)]
-        q = rng.randint(1, sum(ws))
-        rep = representation(q, ws)
-        if not oracles.has_imputation(rep):
-            continue
-        x = oracles.random_imputation(rep, rng, denominator=101)
-        universe = list(oracles.coalitions(n))
-        forbidden = frozenset(rng.sample(universe, k=min(3, len(universe))))
-        got = solver_oracle(rep, x, forbidden)
-        expect = oracles.brute_max_excess(rep, x, forbidden | {frozenset()})
-        if expect is None:
-            assert got is None
-            continue
-        value, coal = got
-        assert value == expect[0]
-        assert coal and coal not in forbidden
-        assert excess(rep, coal, x) == value
-
-
 def test_oracle_agrees_with_enumeration_at_limit_scale():
     rng = random.Random(161616)
     for n in (12, 16):
@@ -249,13 +232,11 @@ def test_oracle_agrees_with_enumeration_at_limit_scale():
             if not oracles.has_imputation(rep):
                 continue
             x = oracles.random_imputation(rep, rng, denominator=503)
-            universe = [frozenset({i, (i + 1) % n}) for i in range(4)]
-            forbidden = frozenset(universe)
-            value, _ = solver_oracle(rep, x, forbidden)
+            value, coal = solver_oracle(rep, x)
             vec = ordered_excess_vector(rep, x, limit=n)
-            best = next(r.excess for r in vec
-                        if r.coalition and r.coalition not in forbidden)
+            best = next(r.excess for r in vec if r.coalition)
             assert value == best
+            assert coal and excess(rep, coal, x) == value
 
 
 @given(st.lists(st.integers(1, 6), min_size=2, max_size=7), st.integers(1, 30),

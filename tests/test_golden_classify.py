@@ -1,10 +1,11 @@
 """Byte-exact ``nucleo classify`` and ``nucleo check`` JSON on fixed games.
 
-``classify`` runs the homogeneity search, so the golden file pins its answer
-and witness on the weight-type path (more than 16 players, the 900-player
-flagship first) and on the explicit path (classify-pool games with both
-answers, and games with a fractional quota or a zero-weight player).  To
-rewrite it after an intended change of output:
+``classify`` runs the homogeneity search, which works on weight-type
+profiles for every game, so the golden file pins its answer and witness on
+games with more than 16 players (the 900-player flagship first), on
+classify-pool games with both answers, and on small games with a fractional
+quota or a zero-weight player.  To rewrite it after an intended change of
+output:
 
     PYTHONPATH=src python tests/test_golden_classify.py
 """
@@ -20,7 +21,7 @@ from nucleo.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "classify.json"
 
-TYPED_GAMES = (
+LARGE_GAMES = (
     "1500; 300*4 300*3 300*2",
     "50; 10*4 10*3 10*2",
     "21; 20*2 5*1",
@@ -53,7 +54,7 @@ POOL_GAMES = (
     "15 ; 3 2 2 4 3 2 3 3 4 3", "10 ; 1 2 1 1 2 3 1 2 2 4",
 )
 
-EXPLICIT_GAMES = (
+SMALL_GAMES = (
     "8; 6 4 3 2",
     "7/2; 1 2 2 2",
     "5/2; 3 0 1 1 2",
@@ -64,7 +65,7 @@ EXPLICIT_GAMES = (
     "2/3; 1/3 1/3 1/3",
 )
 
-GAMES = TYPED_GAMES + POOL_GAMES + EXPLICIT_GAMES
+GAMES = LARGE_GAMES + POOL_GAMES + SMALL_GAMES
 COMMANDS = ("classify", "check")
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -51,13 +52,12 @@ def _systems(count):
         yield dim, seq
 
 
-def _state(system):
+def _state(system, rows):
     try:
         point = system.solve_unique()
     except (UnderdeterminedSystem, ValueError):
         point = None
-    return (system.rank, list(system.pivot_cols), [list(r) for r in system.rows],
-            system.kernel_basis_int(), point)
+    return (system.rank, list(system.pivot_cols), rows, system.kernel_basis_int(), point)
 
 
 def test_echelon_system_matches_fraction_reference():
@@ -75,8 +75,14 @@ def test_echelon_system_matches_fraction_reference():
             else:
                 assert fast.add_row(vec, rhs) is expected
                 accepted += 1
-            assert _state(fast) == _state(ref)
-            assert all(type(c) is F for row in fast.rows for c in row)
+            # the stored rows are primitive integer rows with positive
+            # pivots; each divided by its pivot is the reference's row
+            for row, pc in zip(fast.rows, fast.pivot_cols):
+                assert all(type(c) is int for c in row)
+                assert math.gcd(*row) == 1 and row[pc] > 0
+            pivot_one = [[F(c, row[pc]) for c in row]
+                         for row, pc in zip(fast.rows, fast.pivot_cols)]
+            assert _state(fast, pivot_one) == _state(ref, ref.rows)
     # the seeded systems exercise every outcome
     assert rejected > 100 and accepted > 5000
 

@@ -194,6 +194,20 @@ def test_nucleus_box_unanimity_is_whole_imputation_set():
     assert box.upper == (F(1), F(1))
 
 
+def test_stage_without_a_positive_dual_is_an_internal_error(monkeypatch, capsys):
+    # the working duals sum to 1 at every stage optimum; zeroing them must
+    # end the solve with the internal-invariant exit code
+    real_stage_level = nucleolus_module._stage_level
+
+    def zero_duals(*args):
+        y, eps, work_duals = real_stage_level(*args)
+        return y, eps, [F(0)] * len(work_duals)
+
+    monkeypatch.setattr(nucleolus_module, "_stage_level", zero_duals)
+    assert main(["solve", "8; 6 4 3 2"]) == 4
+    assert "no positive dual" in capsys.readouterr().err
+
+
 NUCLEUS_BOXES = [
     # (quota, input weights, engine, lower, upper); the boxes of the first
     # game are not points, and the players are unsorted with a null player
@@ -233,9 +247,8 @@ def test_nucleus_box_exact_values(quota, weights, engine, lower, upper):
 
 
 def scan_setup(rep, granularity, rng):
-    """A space, a kernel with one frozen row beyond efficiency, integer costs
-    of a random nonnegative payoff per class, and an exclusion set: the
-    knapsack path's answer without exclusions plus two random vectors."""
+    """A space, a kernel with one frozen row beyond efficiency, and integer
+    costs of a random nonnegative payoff per class."""
     space = _ItemSpace(rep, granularity)
     system, _ = _start(space)
     lattice = [range(c + 1) for c in space.counts]
@@ -246,32 +259,28 @@ def scan_setup(rep, granularity, rng):
     kernel = system.kernel_basis_int()
     denom = 97
     costs = [rng.randint(0, 40) for _ in range(space.dim)]
-    exclude = {tuple(rng.choice(r) for r in lattice) for _ in range(2)}
-    top = space.best_excess([F(c, denom) for c in costs], kernel)
-    if top is not None:
-        exclude.add(top[0])
-    return space, kernel, costs, denom, frozenset(exclude)
+    return space, kernel, costs, denom
 
 
 def movable(vec, kernel):
     return any(sum(j * d for j, d in zip(vec, kv)) for kv in kernel)
 
 
-def brute_best_value(rep, granularity, y, kernel, exclude):
-    """The largest excess of a movable vector outside ``exclude``, by listing
-    every coalition (players) or every profile (types); None if none."""
+def brute_best_value(rep, granularity, y, kernel):
+    """The largest excess of a movable vector, by listing every coalition
+    (players) or every profile (types); None if none."""
     if granularity == "player":
         x = rep.to_input_order(y)
         skip = set()
         for S in oracles.coalitions(rep.n):
             vec = rep.to_sorted_order([int(i in S) for i in range(rep.n)])
-            if vec in exclude or not movable(vec, kernel):
+            if not movable(vec, kernel):
                 skip.add(S)
         best = oracles.brute_max_excess(rep, x, skip)
         return None if best is None else best[0]
     best = None
     for prof in all_profiles(rep):
-        if prof.counts in exclude or not movable(prof.counts, kernel):
+        if not movable(prof.counts, kernel):
             continue
         e = (1 if prof.weight >= rep.quota else 0) - sum(
             (j * yk for j, yk in zip(prof.counts, y)), F(0))
@@ -291,30 +300,30 @@ def test_scan_best_matches_brute_reference(granularity, monkeypatch, capsys):
             continue
         if granularity == "type" and rep.weight_types().t < 2:
             continue
-        space, kernel, costs, denom, exclude = scan_setup(rep, granularity, rng)
+        space, kernel, costs, denom = scan_setup(rep, granularity, rng)
         y = [F(c, denom) for c in costs]
-        got = space._scan_best(costs, denom, kernel, exclude)
+        got = space._scan_best(costs, denom, kernel)
         # the knapsack's own answer once its rejection budget cannot run out
         with monkeypatch.context() as m:
             m.setattr(coalitions, "_MAX_POPS", 10**9)
-            assert got == space.best_excess(y, kernel, exclude)
-        expect = brute_best_value(rep, granularity, y, kernel, exclude)
+            assert got == space.best_excess(y, kernel)
+        expect = brute_best_value(rep, granularity, y, kernel)
         if expect is None:
             assert got is None
             continue
         vec, value = got
         assert value == expect
-        assert vec not in exclude and movable(vec, kernel)
+        assert movable(vec, kernel)
         assert space.excess_at(vec, y) == value
         checked += 1
 
     # the scan lists at most _SCAN_CAP count vectors
     size = math.prod(c + 1 for c in space.counts)
     monkeypatch.setattr(nucleolus_module, "_SCAN_CAP", size)
-    assert space._scan_best(costs, denom, kernel, exclude) == got
+    assert space._scan_best(costs, denom, kernel) == got
     monkeypatch.setattr(nucleolus_module, "_SCAN_CAP", size - 1)
     with pytest.raises(EnumerationLimit, match="fallback scan"):
-        space._scan_best(costs, denom, kernel, exclude)
+        space._scan_best(costs, denom, kernel)
 
     # a stall past the cap ends the solve with the resource-limit exit code;
     # the brute solve of this game stalls on its own, the typed one is made
@@ -333,7 +342,7 @@ def test_scan_best_prefers_a_winning_vector_on_a_tie():
     space = _ItemSpace(representation(2, [1, 1, 1]), "player")
     kernel = [[1, 1, 1]]
     want = ((0, 1, 1), F(0))
-    assert space._scan_best((1, 1, 0), 1, kernel, frozenset()) == want
+    assert space._scan_best((1, 1, 0), 1, kernel) == want
     assert space.best_excess((F(1), F(1), F(0)), kernel) == want
 
 

@@ -116,7 +116,6 @@ def test_oracle_skips_empty_and_grand_coalition():
     vec, value = space.best_excess(y, kernel)
     assert value == F(-1, 2)
     assert vec in ((1, 0), (0, 1))
-    assert space.best_excess(y, kernel, exclude=frozenset({(1, 0), (0, 1)})) is None
     # one weight type: efficiency fixes every excess, nothing is movable
     typed = _ItemSpace(rep, "type")
     assert typed.best_excess([F(1, 2)], _start(typed)[0].kernel_basis_int()) is None

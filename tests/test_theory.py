@@ -64,6 +64,12 @@ def test_gap_small_weight_game():
     assert rpt.l1_gap <= rpt.bound
 
 
+def test_gap_report_reads_float_payoffs_as_their_decimal():
+    # 7/30 + 4/30 + 11/30 against the weights 1/3 each
+    rpt = gap_report(representation(2, [1, 1, 1]), [0.1, 0.2, 0.7])
+    assert rpt.l1_gap == F(11, 15)
+
+
 def test_gap_rejects_degenerate_quota():
     rep = representation(2, [1, 1])
     with pytest.raises(DegenerateQuota):
@@ -341,6 +347,12 @@ def test_regularity_replica_family_constant():
     rpt = regularity_statistic(seq, 4)
     assert rpt.values == tuple([F(4, 9)] * 6)
     assert rpt.appears_bounded_away
+
+
+def test_regularity_reads_float_weight_as_its_decimal():
+    rpt = regularity_statistic([representation(0.2, [0.1] * 3)], 0.1)
+    assert rpt.weight == F(1, 10)
+    assert rpt.values == (F(1),)
 
 
 def test_regularity_missing_weight():
