@@ -22,7 +22,6 @@ from .exactlp import (
     LinearConstraint,
     LpSolution,
     MalformedProgram,
-    feasible,
     solve,
 )
 from .coalitions import (
@@ -31,11 +30,8 @@ from .coalitions import (
     ExcessRecord,
     NonIntegerWeights,
     ProfileCoalition,
-    all_profiles,
     excess,
-    is_minimal_winning_profile,
     minimal_winning_count_vectors,
-    minimal_winning_profiles,
     ordered_excess_vector,
 )
 from .nucleolus import (

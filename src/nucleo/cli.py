@@ -23,7 +23,7 @@ from .exactlp import SolverInternalError
 from .gameio import format_game, parse_game
 from .games import GameError, Representation
 from .linalg import InconsistentSystem, UnderdeterminedSystem
-from .nucleolus import DEFAULT_MAX_BRUTE_PLAYERS, SolverError, nucleolus
+from .nucleolus import SolverError, nucleolus
 from .theory import (
     DegenerateQuota,
     HomogeneitySearchError,
@@ -76,16 +76,6 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _max_brute() -> int:
-    raw = os.environ.get("NUCLEO_MAX_BRUTE_N")
-    if raw is None:
-        return DEFAULT_MAX_BRUTE_PLAYERS
-    try:
-        return int(raw)
-    except ValueError:
-        raise GameError(f"NUCLEO_MAX_BRUTE_N must be an integer, got {raw!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -93,7 +83,7 @@ def _max_brute() -> int:
 
 def cmd_solve(args) -> int:
     rep = _load_game(args.game)
-    res = nucleolus(rep, engine=args.engine, max_brute_players=_max_brute())
+    res = nucleolus(rep, engine=args.engine)
     payload = res.to_json_dict()
     try:
         report = gap_report(rep, res.x_star)

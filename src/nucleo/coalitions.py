@@ -22,7 +22,6 @@ What an item is belongs to the caller: the solver's ``_ItemSpace`` (in
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -104,33 +103,6 @@ class ProfileCoalition:
         return ProfileCoalition(counts=counts, weight=weight, multiplicity=mult,
                                 type_weights=table.weights)
 
-    def expand_one(self, rep: Representation) -> frozenset[int]:
-        """A canonical explicit member of the class (lowest input indices per type)."""
-        table = rep.weight_types()
-        orig = rep.original_weights
-        members: list[int] = []
-        for (w, _), c in zip(table.entries, self.counts):
-            taken = 0
-            for i, wi in enumerate(orig):
-                if taken == c:
-                    break
-                if wi == w:
-                    members.append(i)
-                    taken += 1
-        return frozenset(members)
-
-
-def all_profiles(rep: Representation, cap: int = 2_000_000) -> list[ProfileCoalition]:
-    """Every profile class of the game's weight-type lattice."""
-    table = rep.weight_types()
-    size = 1
-    for c in table.counts:
-        size *= c + 1
-    if size > cap:
-        raise EnumerationLimit(f"profile lattice has {size} classes (cap {cap})")
-    return [ProfileCoalition.of(rep, acc)
-            for acc in itertools.product(*(range(c + 1) for c in table.counts))]
-
 
 @dataclass(frozen=True)
 class ExcessRecord:
@@ -184,17 +156,6 @@ def ordered_excess_vector(rep: Representation, x: Sequence,
 # ---------------------------------------------------------------------------
 # minimal winning profiles
 # ---------------------------------------------------------------------------
-
-
-def is_minimal_winning_profile(rep: Representation, counts: Sequence[int]) -> bool:
-    prof = ProfileCoalition.of(rep, counts)
-    if prof.weight < rep.quota:
-        return False
-    table = rep.weight_types()
-    for (w, _), c in zip(table.entries, prof.counts):
-        if c >= 1 and prof.weight - w >= rep.quota:
-            return False
-    return True
 
 
 def minimal_winning_count_vectors(rep: Representation, cap: int = 200_000) -> list[tuple[int, ...]]:
@@ -260,11 +221,6 @@ class _MinimalWinningSearch:
         for j in range(lo, hi + 1):
             self.acc[k] = j
             self.visit(k + 1, weight + j * wk, wk if j else light)
-
-
-def minimal_winning_profiles(rep: Representation, cap: int = 200_000) -> list[ProfileCoalition]:
-    """Minimal winning coalitions as profile classes (integer weights required)."""
-    return [ProfileCoalition.of(rep, c) for c in minimal_winning_count_vectors(rep, cap)]
 
 
 # ---------------------------------------------------------------------------

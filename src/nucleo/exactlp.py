@@ -137,16 +137,6 @@ class LpSolution:
     duals: tuple[Fraction, ...] | None = None
 
 
-def dump_program(lp: ExactLinearProgram) -> str:
-    """Plain-text rendering of an LP, for debugging."""
-    lines = [f"{lp.sense} " + " + ".join(f"{c}*x{j}" for j, c in enumerate(lp.objective))]
-    for con in lp.constraints:
-        expr = " + ".join(f"{c}*x{j}" for j, c in enumerate(con.coeffs) if c != 0) or "0"
-        lines.append(f"  {expr} {con.relation} {con.rhs}")
-    lines.append(f"  lb={lp.lower_bounds} ub={lp.upper_bounds}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # internal standard form
 # ---------------------------------------------------------------------------
@@ -546,19 +536,3 @@ def solve(lp: ExactLinearProgram) -> LpSolution:
         for i in range(len(lp.constraints))
     )
     return LpSolution(status="optimal", values=x, objective_value=obj_value, duals=duals)
-
-
-def feasible(lp: ExactLinearProgram) -> tuple[bool, tuple[Fraction, ...] | None]:
-    """Phase-1 feasibility test; returns an exact witness point when feasible."""
-    probe = ExactLinearProgram(
-        num_vars=lp.num_vars,
-        objective=(0,) * lp.num_vars,
-        sense="min",
-        constraints=list(lp.constraints),
-        lower_bounds=lp.lower_bounds,
-        upper_bounds=lp.upper_bounds,
-    )
-    sol = solve(probe)
-    if sol.status == "optimal":
-        return True, sol.values
-    return False, None

@@ -42,8 +42,8 @@ from .exactlp import ExactLinearProgram, solve
 from .games import GameError, Representation, representation
 from .linalg import EchelonSystem
 
-DEFAULT_MAX_BRUTE_PLAYERS = 20
-_SCAN_CAP = 1 << DEFAULT_MAX_BRUTE_PLAYERS  # count vectors in a stall's fallback scan
+MAX_BRUTE_PLAYERS = 20
+_SCAN_CAP = 1 << MAX_BRUTE_PLAYERS  # count vectors in a stall's fallback scan
 
 
 class NoImputation(GameError):
@@ -177,8 +177,6 @@ class _ItemSpace:
         self.total_weight = sum(w * c for w, c in zip(self.weights, self.counts))
         self.win_cut = min_winning_weight(rep)
         self.lower_bounds = tuple(1 if w >= rep.quota else 0 for w in self.weights)
-        self.full = tuple(self.counts)
-        self.zero = tuple(0 for _ in classes)
 
     def value(self, vec: Sequence[int]) -> int:
         w = sum(j * wk for j, wk in zip(vec, self.weights))
@@ -189,7 +187,8 @@ class _ItemSpace:
         return Fraction(self.value(vec)) - paid
 
     def seeds(self) -> list[tuple[int, ...]]:
-        out = [self.zero, self.full]
+        """Per class, the vector of all its players."""
+        out = []
         for k in range(self.dim):
             block = [0] * self.dim
             block[k] = self.counts[k]
@@ -374,8 +373,7 @@ def _start(space: _ItemSpace):
         raise NoImputation("individual rationality demands more than the total payoff")
     system = EchelonSystem(space.dim)
     system.add_row(space.counts, 1)  # efficiency
-    working: list[tuple[int, ...]] = list(dict.fromkeys(space.seeds()))
-    return system, working
+    return system, space.seeds()
 
 
 def _stage_level(space: _ItemSpace, system: EchelonSystem, working: list, kernel):
@@ -450,33 +448,32 @@ def _sequential_nucleolus(space: _ItemSpace):
 # ---------------------------------------------------------------------------
 
 
-def _prepare_space(rep: Representation, engine: str, max_brute_players: int):
-    """The solving space of ``rep`` and the engine that runs on it; the
-    player count and the weight types exclude the null players."""
+def _prepare_space(rep: Representation, engine: str):
+    """The solving space of ``rep`` and the engine that runs on it; ``auto``
+    is the typed engine, and the brute engine's player count excludes the
+    null players."""
     if engine not in ("auto", "brute", "typed"):
         raise GameError(f"unknown engine {engine!r}")
-    table = rep.weight_types()
-    nulls = table.multiplicity_of(0)
-    players, t = rep.n - nulls, table.t - (nulls > 0)
-    if engine == "auto":
-        engine = "typed" if (players > max_brute_players or t <= 6) else "brute"
-    if engine == "brute" and players > max_brute_players:
+    if engine != "brute":
+        return _ItemSpace(rep, "type"), "typed"
+    space = _ItemSpace(rep, "player")
+    if space.dim > MAX_BRUTE_PLAYERS:
         raise EnumerationLimit(
-            f"brute engine limited to {max_brute_players} players, game has {players}"
+            f"brute engine limited to {MAX_BRUTE_PLAYERS} players, game has {space.dim}"
         )
-    return _ItemSpace(rep, "player" if engine == "brute" else "type"), engine
+    return space, "brute"
 
 
-def nucleolus(rep: Representation, engine: str = "auto",
-              max_brute_players: int = DEFAULT_MAX_BRUTE_PLAYERS) -> NucleolusResult:
+def nucleolus(rep: Representation, engine: str = "auto") -> NucleolusResult:
     """The exact nucleolus over imputations, in input player order.
 
-    ``engine="brute"`` works on explicit coalitions (player count capped),
-    ``engine="typed"`` on weight-type profiles; ``auto`` picks typed for
-    games with many players or few distinct weights.  Zero-weight players
+    ``engine="typed"`` (also ``"auto"``, the default) works on weight-type
+    profiles, with one payoff per distinct weight; ``engine="brute"`` works
+    on explicit coalitions, with one payoff per player, and is limited to
+    ``MAX_BRUTE_PLAYERS`` players of positive weight.  Zero-weight players
     receive payoff 0 and are removed before the engines run.
     """
-    space, chosen = _prepare_space(rep, engine, max_brute_players)
+    space, chosen = _prepare_space(rep, engine)
     y, levels, stages = _sequential_nucleolus(space)
     return NucleolusResult(
         x_star=space.to_input(y),
@@ -486,15 +483,17 @@ def nucleolus(rep: Representation, engine: str = "auto",
     )
 
 
-def nucleus_box(rep: Representation, engine: str = "auto",
-                max_brute_players: int = DEFAULT_MAX_BRUTE_PLAYERS) -> NucleusBox:
-    """Componentwise min and max payoffs over the set of imputations that
-    minimize the largest excess (the first level only).
+def nucleus_box(rep: Representation, engine: str = "auto") -> NucleusBox:
+    """Componentwise min and max payoffs over the least core: the imputations
+    that minimize the largest excess (the first level only).
 
-    The largest excess includes the constant-0 excess of the empty and
-    grand coalitions, so the minimum is never below 0.
+    On the typed engine (and ``auto``) the box ranges over the
+    weight-symmetric least-core imputations, which pay equal-weight players
+    equally; on the brute engine it ranges over all of them, so it can be
+    wider.  The largest excess includes the constant-0 excess of the empty
+    and grand coalitions, so the minimum is never below 0.
     """
-    space, _ = _prepare_space(rep, engine, max_brute_players)
+    space, _ = _prepare_space(rep, engine)
     dim = space.dim
     system, working = _start(space)
     if system.rank == dim:

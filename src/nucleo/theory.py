@@ -39,8 +39,6 @@ from .exactlp import ExactLinearProgram, solve
 from .games import GameError, Representation, _to_fraction, representation
 from .linalg import EchelonSystem
 
-EXPLICIT_LIMIT = 16
-
 
 class DegenerateQuota(GameError):
     pass
@@ -284,7 +282,7 @@ def interchangeable_type_pairs(rep: Representation) -> frozenset[frozenset]:
 
 
 def interchangeable_pairs(rep: Representation,
-                          limit: int = EXPLICIT_LIMIT) -> frozenset[frozenset[int]]:
+                          limit: int = 16) -> frozenset[frozenset[int]]:
     """Unordered player pairs (input indices) that are interchangeable."""
     if rep.n > limit:
         raise EnumerationLimit(f"{rep.n} players exceeds pair-expansion limit {limit}")

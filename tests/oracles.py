@@ -4,14 +4,15 @@ Everything here enumerates coalitions directly and stays deliberately
 separate from the library's knapsack/bitset/LP machinery, so each check has
 two genuinely different routes to the same value.  The one exception is
 ``brute_permits_homogeneous``, which needs an LP: it writes one row per
-coalition and hands the whole system to ``exactlp.feasible``.
+coalition and hands the whole system to ``feasible``, a phase-1 solve.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from nucleo.exactlp import ExactLinearProgram, feasible
+from nucleo.coalitions import ProfileCoalition
+from nucleo.exactlp import ExactLinearProgram, solve
 
 
 def coalitions(n):
@@ -85,6 +86,47 @@ def brute_maximal_losing(rep):
         if all(wins(rep, S | {i}) for i in players - S):
             out.append(S)
     return out
+
+
+def all_profiles(rep):
+    """Every profile class of the game's weight-type lattice."""
+    counts = rep.weight_types().counts
+    return [ProfileCoalition.of(rep, acc)
+            for acc in product(*(range(c + 1) for c in counts))]
+
+
+def is_minimal_winning_profile(rep, counts):
+    """A winning profile that loses when any one of its players leaves."""
+    prof = ProfileCoalition.of(rep, counts)
+    if prof.weight < rep.quota:
+        return False
+    return all(prof.weight - w < rep.quota
+               for w, c in zip(prof.type_weights, prof.counts) if c)
+
+
+def expand_one(rep, prof):
+    """A canonical explicit member of a profile class: the lowest input
+    indices of each weight type."""
+    members = []
+    for w, c in zip(prof.type_weights, prof.counts):
+        members += [i for i, wi in enumerate(rep.original_weights) if wi == w][:c]
+    return frozenset(members)
+
+
+def feasible(lp):
+    """Phase-1 feasibility test; returns an exact witness point when feasible."""
+    probe = ExactLinearProgram(
+        num_vars=lp.num_vars,
+        objective=(0,) * lp.num_vars,
+        sense="min",
+        constraints=list(lp.constraints),
+        lower_bounds=lp.lower_bounds,
+        upper_bounds=lp.upper_bounds,
+    )
+    sol = solve(probe)
+    if sol.status == "optimal":
+        return True, sol.values
+    return False, None
 
 
 def brute_permits_homogeneous(rep):

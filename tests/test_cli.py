@@ -50,11 +50,13 @@ def test_solve_output_in_missing_directory_is_input_error(capsys, tmp_path):
     assert not target.parent.exists()
 
 
-def test_solve_limit_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("NUCLEO_MAX_BRUTE_N", "3")
-    code, out, err = run(capsys, "solve", "--engine", "brute", "3; 1 1 1 1")
+def test_solve_limit_exit_code(capsys):
+    # 21 players of positive weight, one over the brute engine's cap; the
+    # null player does not count
+    code, out, err = run(capsys, "solve", "--engine", "brute", "11; 21*1 0")
     assert code == 3
-    assert "brute engine" in err
+    assert out == ""
+    assert "brute engine limited to 20 players, game has 21" in err
 
 
 def test_solve_internal_error_exit_code(capsys, monkeypatch):

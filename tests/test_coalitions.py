@@ -12,15 +12,13 @@ from nucleo.coalitions import (
     EnumerationLimit,
     OracleInvariantError,
     OracleStall,
+    ProfileCoalition,
     _box_min_cost,
     _heap_min_cost,
     _scan_min_cost,
     _suffix_tables,
-    all_profiles,
     excess,
-    is_minimal_winning_profile,
     minimal_winning_count_vectors,
-    minimal_winning_profiles,
     min_cost_selection,
     ordered_excess_vector,
     reachable_weights,
@@ -112,10 +110,10 @@ def test_ordered_excess_vector_limit():
 
 def test_minimal_winning_profiles_flagship_members():
     rep = representation(1500, [4] * 300 + [3] * 300 + [2] * 300)
-    assert is_minimal_winning_profile(rep, (300, 100, 0))
-    assert is_minimal_winning_profile(rep, (300, 0, 150))
-    assert is_minimal_winning_profile(rep, (300, 1, 149))
-    assert not is_minimal_winning_profile(rep, (300, 100, 1))
+    assert oracles.is_minimal_winning_profile(rep, (300, 100, 0))
+    assert oracles.is_minimal_winning_profile(rep, (300, 0, 150))
+    assert oracles.is_minimal_winning_profile(rep, (300, 1, 149))
+    assert not oracles.is_minimal_winning_profile(rep, (300, 100, 1))
     vectors = set(minimal_winning_count_vectors(rep, cap=400_000))
     assert {(300, 100, 0), (300, 0, 150), (300, 1, 149)} <= vectors
 
@@ -133,8 +131,8 @@ def test_minimal_winning_count_vectors_match_brute_filter():
         if rng.random() < 0.3:
             q = F(2 * q - 1, 2)
         rep = representation(q, players)
-        brute = sorted(p.counts for p in all_profiles(rep)
-                       if is_minimal_winning_profile(rep, p.counts))
+        brute = sorted(p.counts for p in oracles.all_profiles(rep)
+                       if oracles.is_minimal_winning_profile(rep, p.counts))
         assert minimal_winning_count_vectors(rep) == brute
     assert zero_types >= 20
 
@@ -160,7 +158,7 @@ def test_minimal_winning_count_vectors_cap_boundary(game, count, least_cap):
 
 def test_minimal_winning_profiles_expand_to_explicit():
     rep = representation(3, [2, 1, 1, 1])
-    profs = minimal_winning_profiles(rep)
+    profs = [ProfileCoalition.of(rep, c) for c in minimal_winning_count_vectors(rep)]
     assert [p.counts for p in profs] == [(0, 3), (1, 1)]
     assert profs[0].multiplicity == 1 and profs[1].multiplicity == 3
     assert sum(p.multiplicity for p in profs) == len(oracles.brute_mwcs(rep))
@@ -168,15 +166,15 @@ def test_minimal_winning_profiles_expand_to_explicit():
 
 def test_profile_lattice_multiplicities_cover_all_coalitions():
     rep = representation(3, [2, 1, 1, 1])
-    profs = all_profiles(rep)
+    profs = oracles.all_profiles(rep)
     assert sum(p.multiplicity for p in profs) == 2 ** rep.n
 
 
 def test_profile_excess_matches_explicit_at_symmetric_payoff():
     rep = representation(10, [4, 4, 3, 3, 2, 2])
     y = rep.normalize().to_input_order()
-    for prof in all_profiles(rep):
-        S = prof.expand_one(rep)
+    for prof in oracles.all_profiles(rep):
+        S = oracles.expand_one(rep, prof)
         paid = sum((F(j) * F(w) / rep.total_weight
                     for j, (w, _) in zip(prof.counts, rep.weight_types().entries)),
                    F(0))
@@ -209,7 +207,7 @@ def test_max_excess_flagship_value_cross_checked_on_scaled_instance():
     rep = representation(50, [4] * 10 + [3] * 10 + [2] * 10)
     wbar = [F(w, 90) for w in rep.original_weights]
     best = None
-    for prof in all_profiles(rep):
+    for prof in oracles.all_profiles(rep):
         if not any(prof.counts):
             continue
         e = (1 if prof.weight >= rep.quota else 0) - prof.weight / 90

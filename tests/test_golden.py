@@ -17,7 +17,7 @@ import pytest
 
 from nucleo.cli import main
 from nucleo.gameio import parse_game
-from nucleo.nucleolus import DEFAULT_MAX_BRUTE_PLAYERS
+from nucleo.nucleolus import MAX_BRUTE_PLAYERS
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "solve.json"
 
@@ -54,7 +54,7 @@ GAMES = (
 
 
 def engines(game: str) -> tuple[str, ...]:
-    if parse_game(game).n > DEFAULT_MAX_BRUTE_PLAYERS:
+    if parse_game(game).n > MAX_BRUTE_PLAYERS:
         return ("auto", "typed")
     return ("auto", "brute", "typed")
 

@@ -12,7 +12,7 @@ import pytest
 
 from nucleo import coalitions
 from nucleo.cli import main
-from nucleo.coalitions import EnumerationLimit, all_profiles, ordered_excess_vector
+from nucleo.coalitions import EnumerationLimit, ordered_excess_vector
 from nucleo.games import representation
 from nucleo.nucleolus import NoImputation, _ItemSpace, _start, nucleolus, nucleus_box
 
@@ -133,9 +133,12 @@ def test_lexicographic_optimality_on_samples():
 
 
 def test_brute_engine_player_cap():
-    rep = representation(3, [1] * 5)
-    with pytest.raises(EnumerationLimit):
-        nucleolus(rep, engine="brute", max_brute_players=4)
+    rep = representation(11, [1] * 21)
+    with pytest.raises(EnumerationLimit, match="brute engine"):
+        nucleolus(rep, engine="brute")
+    # the cap counts players of positive weight only
+    rep = representation(11, [1] * 20 + [0])
+    assert nucleolus(rep, engine="brute").x_star == (F(1, 20),) * 20 + (F(0),)
 
 
 def test_no_imputation_game_rejected():
@@ -144,12 +147,31 @@ def test_no_imputation_game_rejected():
 
 
 def test_engine_auto_selection():
-    # few types -> typed; many types and small n -> brute
+    # auto is the typed engine, whatever the player count or weight types
     assert nucleolus(representation(8, [6, 4, 3, 2])).engine == "typed"
     rep = representation(15, [9, 8, 7, 6, 5, 4, 3])
-    assert nucleolus(rep).engine == "brute"
+    assert nucleolus(rep).engine == "typed"
+    assert nucleolus(rep, engine="brute").engine == "brute"
     big = representation(1500, [4] * 300 + [3] * 300 + [2] * 300)
     assert nucleolus(big).engine == "typed"
+
+
+def test_auto_equals_typed_on_many_weight_types():
+    # small games with at least 7 distinct weights, some of them repeated:
+    # auto gives the typed engine's output, whose x* is the brute engine's
+    rng = random.Random(1117)
+    checked = 0
+    while checked < 25:
+        types = rng.sample(range(1, 16), rng.randint(7, 9))
+        ws = types + rng.choices(types, k=rng.randint(1, 11 - len(types)))
+        rng.shuffle(ws)
+        rep = representation(rng.randint(1, sum(ws)), ws)
+        if not oracles.has_imputation(rep):
+            continue
+        auto = nucleolus(rep)
+        assert auto.to_json_dict() == nucleolus(rep, engine="typed").to_json_dict()
+        assert auto.x_star == nucleolus(rep, engine="brute").x_star
+        checked += 1
 
 
 def test_result_serialization_shape():
@@ -229,6 +251,14 @@ NUCLEUS_BOXES = [
      ["0", "1/3", "0", "1/6", "0"], ["1/6", "1/3", "1/3", "1/3", "1/3"]),
     (10, [1, 5, 3, 4, 2], "typed",
      ["0", "1/3", "0", "1/6", "0"], ["1/6", "1/3", "1/3", "1/3", "1/3"]),
+    # 7 distinct weights: auto is the typed engine, whose box pays the two
+    # weight-3 players (6 and 9) equally; the brute box does not
+    (39, [6, 6, 7, 10, 4, 3, 11, 1, 3], "auto",
+     ["1/9", "1/9", "1/9", "2/9", "1/18", "1/18", "2/9", "0", "1/18"],
+     ["1/9", "1/9", "1/6", "2/9", "1/9", "1/18", "2/9", "0", "1/18"]),
+    (39, [6, 6, 7, 10, 4, 3, 11, 1, 3], "brute",
+     ["1/9", "1/9", "1/9", "2/9", "1/18", "0", "2/9", "0", "0"],
+     ["1/9", "1/9", "1/6", "2/9", "1/9", "1/9", "2/9", "0", "1/9"]),
 ]
 
 
@@ -279,7 +309,7 @@ def brute_best_value(rep, granularity, y, kernel):
         best = oracles.brute_max_excess(rep, x, skip)
         return None if best is None else best[0]
     best = None
-    for prof in all_profiles(rep):
+    for prof in oracles.all_profiles(rep):
         if not movable(prof.counts, kernel):
             continue
         e = (1 if prof.weight >= rep.quota else 0) - sum(

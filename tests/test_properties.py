@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from nucleo.coalitions import all_profiles, ordered_excess_vector
+from nucleo.coalitions import ordered_excess_vector
 from nucleo.games import representation
 from nucleo.nucleolus import _ItemSpace, _start, nucleolus, nucleus_box
 from nucleo.theory import gap_report, is_constant_sum, permits_homogeneous_rep
@@ -91,7 +91,7 @@ def test_to_integer_yields_coprime_integers(ws, q):
 def test_profile_lattice_covers_powerset(ws, q):
     total = sum(ws)
     rep = representation(min(q, total), ws)
-    assert sum(p.multiplicity for p in all_profiles(rep)) == 2 ** rep.n
+    assert sum(p.multiplicity for p in oracles.all_profiles(rep)) == 2 ** rep.n
 
 
 def test_excess_vector_tie_break_is_mask_ascending():
