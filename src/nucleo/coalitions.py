@@ -160,40 +160,42 @@ def ordered_excess_vector(rep: Representation, x: Sequence,
 
 def minimal_winning_count_vectors(rep: Representation, cap: int = 200_000) -> list[tuple[int, ...]]:
     """Count vectors (per weight type, heaviest first) of all minimal winning
-    coalitions, in lexicographic order; integer weights required.  Pure
-    integer arithmetic; profiles live in the weight window
-    [ceil(q), ceil(q) + w1 - 1].  ``EnumerationLimit`` is raised on reaching
-    a node of the depth-first search once more than ``cap`` are listed."""
+    coalitions, in lexicographic order; integer weights required.
+    ``EnumerationLimit`` is raised when the list would grow longer than ``cap``."""
     if not rep.has_integer_weights():
         raise NonIntegerWeights("profile enumeration requires integer weights")
     table = rep.weight_types()
-    tweights = [int(w) for w in table.weights]
-    counts = list(table.counts)
-    t = table.t
-    win_cut = min_winning_weight(rep)
-    suffix_weight = [0] * (t + 1)
-    for k in reversed(range(t)):
-        suffix_weight[k] = suffix_weight[k + 1] + tweights[k] * counts[k]
-    search = _MinimalWinningSearch(tweights, counts, suffix_weight, win_cut,
-                                   win_cut + max(tweights) - 1, cap)
+    return _minimal_winning_vectors([int(w) for w in table.weights], list(table.counts),
+                                    min_winning_weight(rep), cap)
+
+
+def _minimal_winning_vectors(tweights: list[int], counts: list[int], win_cut: int,
+                             cap: int) -> list[tuple[int, ...]]:
+    """``minimal_winning_count_vectors`` of the game whose type weights
+    (descending integers) and counts are given and whose least winning weight
+    is ``win_cut``.  Pure integer arithmetic; profiles live in the weight
+    window [win_cut, win_cut + w1 - 1]."""
+    search = _MinimalWinningSearch(tweights, counts, win_cut, cap)
     search.visit(0, 0, None)
     return search.out
 
 
 class _MinimalWinningSearch:
-    """Depth-first search over per-type counts for ``minimal_winning_count_vectors``.
+    """Depth-first search over per-type counts for ``_minimal_winning_vectors``.
 
     A class, not a nested closure: a closure that calls itself is a
     reference cycle, which keeps its result list alive until the cyclic
     garbage collector runs.  ``acc`` holds the counts chosen so far.
     """
 
-    def __init__(self, tweights, counts, suffix_weight, win_cut, hi_cut, cap):
+    def __init__(self, tweights, counts, win_cut, cap):
         self.tweights = tweights
         self.counts = counts
-        self.suffix_weight = suffix_weight
+        self.suffix_weight = [0] * (len(tweights) + 1)
+        for k in reversed(range(len(tweights))):
+            self.suffix_weight[k] = self.suffix_weight[k + 1] + tweights[k] * counts[k]
         self.win_cut = win_cut
-        self.hi_cut = hi_cut
+        self.hi_cut = win_cut + max(tweights) - 1
         self.cap = cap
         self.acc = [0] * len(tweights)
         self.out: list[tuple[int, ...]] = []
@@ -203,10 +205,10 @@ class _MinimalWinningSearch:
         type used weighing ``light``).  Weights fall with the type index, so
         a winning profile is minimal iff dropping one player of ``light``
         loses."""
-        if len(self.out) > self.cap:
-            raise EnumerationLimit(f"more than {self.cap} candidate profiles")
         if k == len(self.tweights):
             if weight >= self.win_cut and (light is None or weight - light < self.win_cut):
+                if len(self.out) == self.cap:
+                    raise EnumerationLimit(f"more than {self.cap} profiles")
                 self.out.append(tuple(self.acc))
             return
         wk = self.tweights[k]

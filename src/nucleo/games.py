@@ -145,9 +145,13 @@ class Representation:
     def coalition_weight(self, players: Iterable[int]) -> Fraction:
         w = self.original_weights
         total = Fraction(0)
+        seen = set()
         for i in players:
             if not 0 <= i < self.n:
                 raise GameError(f"player index {i} out of range 0..{self.n - 1}")
+            if i in seen:
+                raise GameError(f"player index {i} repeated")
+            seen.add(i)
             total += w[i]
         return total
 

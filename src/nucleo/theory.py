@@ -18,7 +18,10 @@ winning coalition at exactly the quota and every maximal losing one at most
 the quota minus 1.  It lists weight-type profiles, one weight per type: the
 equalities go into an ``EchelonSystem`` as integer rows, and an exact LP
 with lazily added losing rows finds a witness of least total weight or
-proves that none exists.
+proves that none exists.  One pruned search lists both sides: a maximal
+losing profile is the complement of a minimal winning profile of the dual
+game, whose least winning weight is W - c + 1 (W the total integer weight,
+c the least winning weight).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Callable, Iterable, Sequence
 from .coalitions import (
     EnumerationLimit,
     NonIntegerWeights,
+    _minimal_winning_vectors,
     min_winning_weight,
     minimal_winning_count_vectors,
     reachable_weights,
@@ -38,6 +42,8 @@ from .coalitions import (
 from .exactlp import ExactLinearProgram, solve
 from .games import GameError, Representation, _to_fraction, representation
 from .linalg import EchelonSystem
+
+MAX_PAIR_PLAYERS = 16  # interchangeable_pairs lists up to n(n-1)/2 player pairs
 
 
 class DegenerateQuota(GameError):
@@ -281,11 +287,12 @@ def interchangeable_type_pairs(rep: Representation) -> frozenset[frozenset]:
     return frozenset(pairs)
 
 
-def interchangeable_pairs(rep: Representation,
-                          limit: int = 16) -> frozenset[frozenset[int]]:
-    """Unordered player pairs (input indices) that are interchangeable."""
-    if rep.n > limit:
-        raise EnumerationLimit(f"{rep.n} players exceeds pair-expansion limit {limit}")
+def interchangeable_pairs(rep: Representation) -> frozenset[frozenset[int]]:
+    """Unordered player pairs (input indices) that are interchangeable; games
+    with more than ``MAX_PAIR_PLAYERS`` players raise ``EnumerationLimit``."""
+    if rep.n > MAX_PAIR_PLAYERS:
+        raise EnumerationLimit(
+            f"{rep.n} players exceeds pair-expansion limit {MAX_PAIR_PLAYERS}")
     type_pairs = interchangeable_type_pairs(rep)
     orig = rep.original_weights
     out = set()
@@ -367,9 +374,11 @@ def permits_homogeneous_rep(rep: Representation, profile_cap: int = 200_000):
 
     The system is written over weight-type profiles, one weight per type,
     which is lossless because the solution set is convex and invariant under
-    permuting equal-weight players.  ``EnumerationLimit`` is raised when
-    either profile list exceeds ``profile_cap``; no game with at most 16
-    players comes near the default, since each list has at most 2^n entries.
+    permuting equal-weight players.  The maximal losing profiles come from
+    the minimal winning search run on the dual game.  ``EnumerationLimit``
+    is raised when either profile list exceeds ``profile_cap``; no game with
+    at most 16 players comes near the default, since each list has at most
+    2^n entries.
     """
     ri = _integer_form(rep)
     table = ri.weight_types()
@@ -393,45 +402,12 @@ def permits_homogeneous_rep(rep: Representation, profile_cap: int = 200_000):
 
 def _maximal_losing_profiles(ri: Representation, cap: int):
     """Profiles of losing coalitions to which no available player can be
-    added without winning."""
-    table = ri.weight_types()
-    search = _MaximalLosingSearch([int(w) for w in table.weights], list(table.counts),
-                                  min_winning_weight(ri), cap)
-    search.visit(0, 0, None)
-    return search.out
-
-
-class _MaximalLosingSearch:
-    """Depth-first search over per-type counts for ``_maximal_losing_profiles``;
-    a class, not a self-calling closure, so that no reference cycle keeps
-    the result list alive.  ``acc`` holds the counts chosen so far."""
-
-    def __init__(self, weights, counts, win_cut, cap):
-        self.weights = weights
-        self.counts = counts
-        self.win_cut = win_cut
-        self.cap = cap
-        self.acc = [0] * len(weights)
-        self.out: list[tuple[int, ...]] = []
-
-    def visit(self, k: int, weight: int, light: int | None):
-        """Extend the counts of types ``0..k-1`` (total ``weight``, lightest
-        type with a player left over weighing ``light``)."""
-        if len(self.out) > self.cap:
-            raise EnumerationLimit(f"more than {self.cap} maximal losing profiles")
-        if k == len(self.weights):
-            if light is not None and weight + light < self.win_cut:
-                return
-            self.out.append(tuple(self.acc))
-            return
-        wk, ck = self.weights[k], self.counts[k]
-        # a maximal losing profile keeps total weight below the quota
-        for j in range(ck + 1):
-            w = weight + j * wk
-            if w >= self.win_cut:
-                break
-            self.acc[k] = j
-            self.visit(k + 1, w, wk if j < ck else light)
+    added without winning, in lexicographic order: the complements of the
+    dual game's minimal winning profiles, in reverse order."""
+    weights, counts = _type_ints(ri)
+    dual_cut = sum(w * c for w, c in zip(weights, counts)) - min_winning_weight(ri) + 1
+    dual = _minimal_winning_vectors(weights, counts, dual_cut, cap)
+    return [tuple(c - j for c, j in zip(counts, v)) for v in reversed(dual)]
 
 
 def _verify_witness(ri: Representation, witness: Representation) -> None:

@@ -24,7 +24,7 @@ from nucleo.coalitions import (
     reachable_weights,
 )
 from nucleo.gameio import parse_game
-from nucleo.games import representation
+from nucleo.games import GameError, representation
 from nucleo.nucleolus import _ItemSpace
 
 import oracles
@@ -60,6 +60,9 @@ def test_excess_examples():
     assert excess(rep, {0, 1, 2, 3}, XSTAR_8) == F(0)
     with pytest.raises(DimensionMismatch):
         excess(rep, {0}, (F(1),))
+    # a repeated player would otherwise be paid, and weighed, twice
+    with pytest.raises(GameError):
+        excess(rep, [0, 0], XSTAR_8)
 
 
 def test_excess_matches_brute_oracle():
@@ -140,20 +143,18 @@ def test_minimal_winning_count_vectors_match_brute_filter():
 @pytest.mark.parametrize("game,count,least_cap", [
     ("1500; 300*4 300*3 300*2", 41576, 41576),
     ("120; 40*5 40*3 40*2 40*1", 7413, 7413),
-    ("50; 10*4 10*3 10*2", 58, 57),
+    ("50; 10*4 10*3 10*2", 58, 58),
     ("60%; 8*3 8*2 8*1", 27, 27),
     ("7; 20*1 2*0", 1, 1),
-    ("25; 17*3", 1, 0),
+    ("25; 17*3", 1, 1),
 ])
 def test_minimal_winning_count_vectors_cap_boundary(game, count, least_cap):
-    # the least cap that does not raise, recorded before the search skipped
-    # counts that cannot reach the quota: the limit is checked on entering
-    # each node of the search, so it depends on the node order
+    # the limit is checked on appending a profile, so the least cap that
+    # does not raise is the list length, whatever the node order
     rep = parse_game(game)
     assert len(minimal_winning_count_vectors(rep, cap=least_cap)) == count
-    if least_cap:
-        with pytest.raises(EnumerationLimit):
-            minimal_winning_count_vectors(rep, cap=least_cap - 1)
+    with pytest.raises(EnumerationLimit):
+        minimal_winning_count_vectors(rep, cap=least_cap - 1)
 
 
 def test_minimal_winning_profiles_expand_to_explicit():

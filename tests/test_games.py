@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from nucleo.games import (
     EmptyPlayerSet,
+    GameError,
     NegativeWeight,
     NonPositiveQuota,
     QuotaExceedsTotalWeight,
@@ -57,6 +58,16 @@ def test_is_winning_boundary_is_weak_inequality():
     rep = representation(8, [6, 4, 3, 2])
     assert rep.is_winning({0, 3})           # 6 + 2 = 8 wins on the boundary
     assert not rep.is_winning({1, 2})       # 7 < 8
+
+
+def test_coalition_weight_rejects_bad_player_indices():
+    rep = parse_game("5; 3 2 2")
+    assert rep.coalition_weight([1, 2]) == 4
+    for players in ([1, 1, 1], [0, 0], [3], [-1]):
+        with pytest.raises(GameError):
+            rep.coalition_weight(players)
+        with pytest.raises(GameError):
+            rep.is_winning(players)
 
 
 def test_is_winning_cross_checked_against_minimal_winning_sets():

@@ -12,6 +12,7 @@ from nucleo.theory import (
     DegenerateQuota,
     IdentityViolation,
     WeightAbsent,
+    _integer_form,
     _maximal_losing_profiles,
     _verify_witness,
     coincidence_report,
@@ -188,6 +189,12 @@ def test_interchangeable_pairs_examples():
     assert interchangeable_pairs(representation(1, [1, 0])) == frozenset()
 
 
+def test_interchangeable_pairs_player_limit():
+    assert len(interchangeable_pairs(representation(9, [1] * 16))) == 16 * 15 // 2
+    with pytest.raises(EnumerationLimit):
+        interchangeable_pairs(representation(9, [1] * 17))
+
+
 def test_interchangeable_pairs_match_brute():
     rng = random.Random(6)
     for _ in range(40):
@@ -302,15 +309,31 @@ def test_enumerations_leave_no_cyclic_garbage(game):
     assert _cyclic_garbage(lambda: permits_homogeneous_rep(rep, profile_cap=400_000)) == 0
 
 
+def test_maximal_losing_profiles_match_brute():
+    rng = random.Random(12)
+    games = [representation(F(7, 2), [F(3, 2)] * 3 + [F(1, 2)] * 4 + [0] * 2)]
+    while len(games) < 220:
+        ws = [rng.choice([0, 0, 1, 2, 3, 4, 5, 6]) for _ in range(rng.randint(1, 10))]
+        if sum(ws):
+            games.append(representation(F(rng.randint(1, 2 * sum(ws)), 2), ws))
+    assert sum(0 in rep.weights for rep in games) >= 50
+    for rep in games:
+        types = rep.weight_types().weights
+        brute = {tuple(sum(1 for i in L if rep.original_weights[i] == w) for w in types)
+                 for L in oracles.brute_maximal_losing(rep)}
+        assert _maximal_losing_profiles(_integer_form(rep), 10_000) == sorted(brute), rep
+
+
 @pytest.mark.parametrize("game,count,least_cap", [
-    ("120; 40*5 40*3 40*2 40*1", 7175, 7174),
-    ("50; 10*4 10*3 10*2", 60, 59),
-    ("60%; 8*3 8*2 8*1", 29, 28),
-    ("41; 6*4 2*3 7*2 2*0", 4, 3),
-    ("7; 20*1 2*0", 1, 0),
+    ("120; 40*5 40*3 40*2 40*1", 7175, 7175),
+    ("50; 10*4 10*3 10*2", 60, 60),
+    ("60%; 8*3 8*2 8*1", 29, 29),
+    ("41; 6*4 2*3 7*2 2*0", 4, 4),
+    ("7; 20*1 2*0", 1, 1),
 ])
 def test_maximal_losing_profiles_cap_boundary(game, count, least_cap):
-    # the least cap that does not raise, recorded from the closure-based search
+    # the limit is checked on appending a profile, so the least cap that
+    # does not raise is the list length
     rep = parse_game(game)
     assert len(_maximal_losing_profiles(rep, least_cap)) == count
     with pytest.raises(EnumerationLimit):
