@@ -2,14 +2,16 @@
 min-cost selection engine behind the nucleolus solver's separation oracle.
 
 ``min_cost_selection`` finds a cheapest selection of items, each taken
-between zero and its count, whose total weight lies in a window, and hands
-out candidates in ascending (cost, counts) order until one is acceptable.
-When the count lattice is no larger than the DP tables it is listed and
-sorted outright.  Otherwise a bounded-knapsack dynamic program over integer
-total weight gives the optimum: the suffix tables of the free items are
-built once per call, and a rejected candidate's box is partitioned into
-sub-boxes, each a fixed prefix, one restricted item and free items after
-it, so a sub-box costs one new DP layer and a one-pass reconstruction.
+between zero and its count, whose total weight lies in a window and whose
+count vector is movable: not orthogonal to the integer kernel of the affine
+hull that the solver has fixed so far.  When the count lattice is no larger
+than the DP tables, one pass over it (``_scan_min_cost``, the only lattice
+scan) gives the answer.  Otherwise a bounded-knapsack dynamic program over
+integer total weight hands out candidates in ascending (cost, counts) order
+until one is movable: the suffix tables of the free items are built once
+per call, and a rejected candidate's box is partitioned into sub-boxes,
+each a fixed prefix, one restricted item and free items after it, so a
+sub-box costs one new DP layer and a one-pass reconstruction.
 Over winning coalitions the maximum excess is 1 minus the cost of a
 cheapest winning selection, and over losing ones minus the cost of a
 cheapest losing one.
@@ -26,7 +28,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .games import GameError, Representation, _to_fraction
 
@@ -47,7 +49,8 @@ class DimensionMismatch(GameError):
 
 class OracleStall(RuntimeError):
     """The exclusion-partition search exceeded its candidate budget; the
-    solver then scans the count lattice (``nucleolus._ItemSpace._scan_best``)."""
+    solver then answers with ``_scan_min_cost`` over the count lattice
+    (``nucleolus._ItemSpace.best_excess``)."""
 
 
 class OracleInvariantError(RuntimeError):
@@ -362,14 +365,37 @@ def _box_min_cost(tables: list[list], weights: Sequence[int], counts: Sequence[i
     return best, tuple(prof)
 
 
+def _movable(vec: Sequence[int], kernel: list[list[int]]) -> bool:
+    """A coalition vector has non-constant excess on the fixed affine hull
+    iff it is not orthogonal to the hull's kernel."""
+    for kv in kernel:
+        s = 0
+        for j, d in zip(vec, kv):
+            if j and d:
+                s += j * d
+        if s:
+            return True
+    return False
+
+
+def _prepend_item(sums: list[int], step: int, count: int) -> list[int]:
+    """Lattice sums with one more item, taken 0..count times, put first."""
+    out = list(sums)
+    for j in range(1, count + 1):
+        shift = j * step
+        out += [s + shift for s in sums]
+    return out
+
+
 def _heap_min_cost(weights: Sequence[int], counts: Sequence[int], costs: Sequence[int],
-                   wlo: int, whi: int, accept: Callable[[tuple[int, ...]], bool]):
+                   wlo: int, whi: int, kernel: list[list[int]]):
     """``min_cost_selection`` by the knapsack DP and exclusion partitions.
 
     A box is a fixed prefix, a count range [lo, hi] for the next item k and
-    free later items.  Partitioning a box around its rejected candidate
-    gives, for each m >= k, boxes of the same shape with item m next, so
-    every box reads the one set of suffix tables.
+    free later items.  Partitioning a box around its rejected (unmovable)
+    candidate gives, for each m >= k, boxes of the same shape with item m
+    next, so every box reads the one set of suffix tables.  Raises
+    ``OracleStall`` after ``_MAX_POPS`` rejected candidates.
     """
     tables = _suffix_tables(weights, counts, costs, whi)
     heap = []
@@ -380,7 +406,7 @@ def _heap_min_cost(weights: Sequence[int], counts: Sequence[int], costs: Sequenc
     while heap:
         # boxes are disjoint, so no two entries tie on (cost, prof)
         cost, prof, k, lo, hi = heapq.heappop(heap)
-        if accept(prof):
+        if _movable(prof, kernel):
             return cost, prof
         pops += 1
         if pops > _MAX_POPS:
@@ -398,49 +424,61 @@ def _heap_min_cost(weights: Sequence[int], counts: Sequence[int], costs: Sequenc
 
 
 def _scan_min_cost(weights: Sequence[int], counts: Sequence[int], costs: Sequence[int],
-                   wlo: int, whi: int, accept: Callable[[tuple[int, ...]], bool]):
-    """``min_cost_selection`` by listing the whole count lattice: the
-    selections with weight in [wlo, whi] in ascending (cost, counts) order,
-    under the same rejection budget as the partition search."""
-    rows = [(0, 0, ())]  # (cost, weight, counts)
-    for omega, cost, count in zip(weights, costs, counts):
-        rows = [(c + j * cost, w + j * omega, vec + (j,))
-                for c, w, vec in rows for j in range(count + 1)
-                if w + j * omega <= whi]
-    candidates = sorted((c, vec) for c, w, vec in rows if w >= wlo)
-    for rejected, (cost, vec) in enumerate(candidates):
-        if accept(vec):
-            return cost, vec
-        if rejected >= _MAX_POPS:
-            raise OracleStall(f"exceeded {_MAX_POPS} rejected candidates")
-    return None
+                   wlo: int, whi: int, kernel: list[list[int]]):
+    """``min_cost_selection`` by one pass over the whole count lattice.
+
+    Sums are built item by item, last item first, so list order is the
+    lexicographic order of the count vectors, and the first cheapest
+    movable vector in the window is the answer.  The kernel vectors are
+    folded into one integer combination, in a base above twice any of their
+    sums, that vanishes exactly where all do.
+    """
+    fold, base = [0] * len(weights), 1
+    for kv in kernel:
+        fold = [f + base * d for f, d in zip(fold, kv)]
+        base *= 2 * sum(c * abs(d) for c, d in zip(counts, kv)) + 1
+    wsum, csum, ksum = [0], [0], [0]
+    for w, c, f, n in reversed(list(zip(weights, costs, fold, counts))):
+        wsum = _prepend_item(wsum, w, n)
+        csum = _prepend_item(csum, c, n)
+        ksum = _prepend_item(ksum, f, n)
+    best = idx = None
+    for i, (w, c, f) in enumerate(zip(wsum, csum, ksum)):
+        if f and wlo <= w <= whi and (best is None or c < best):
+            best, idx = c, i
+    if idx is None:
+        return None
+    vec = []
+    for n in reversed(counts):
+        idx, j = divmod(idx, n + 1)
+        vec.append(j)
+    return best, tuple(reversed(vec))
 
 
 def min_cost_selection(weights: Sequence[int], counts: Sequence[int], costs: Sequence[int],
-                       wlo: int, whi: int,
-                       accept: Callable[[tuple[int, ...]], bool]):
-    """Cheapest acceptable selection with total weight in [wlo, whi].
+                       wlo: int, whi: int, kernel: list[list[int]]):
+    """Cheapest movable selection with total weight in [wlo, whi].
 
     Weights are positive integers, costs integers; item k is taken between
-    zero and ``counts[k]`` times.  ``accept`` filters the count vectors that
-    may be returned.  The answer is the acceptable selection with the
+    zero and ``counts[k]`` times.  A count vector is movable when it is not
+    orthogonal to every vector of the integer ``kernel``; only movable
+    vectors may be returned.  The answer is the movable selection with the
     lexicographically smallest (cost, counts); None if there is none.
-    Raises ``OracleStall`` after ``_MAX_POPS`` rejected candidates.
 
-    Candidates come out in ascending (cost, counts) order in one of two
-    ways, whichever touches fewer entries: when the count lattice,
-    prod(counts[k] + 1), is no larger than the t * (whi + 1) entries of the
-    DP tables, it is listed and sorted outright; otherwise the knapsack DP
-    over total weight builds the suffix tables once and each rejected
-    candidate's box is partitioned into sub-boxes that cost one new DP
-    layer each.
+    When the count lattice, prod(counts[k] + 1), is no larger than the
+    t * (whi + 1) entries of the DP tables, one pass over it gives the
+    answer.  Otherwise the knapsack DP over total weight builds the suffix
+    tables once, hands out candidates in ascending (cost, counts) order and
+    partitions each rejected candidate's box into sub-boxes that cost one
+    new DP layer each; only this path raises ``OracleStall``, after
+    ``_MAX_POPS`` rejected candidates.
     """
     counts = [int(c) for c in counts]
     t = len(weights)
     # the partition search needs an item to restrict, so t == 0 is scanned
     scan = t == 0 or math.prod(c + 1 for c in counts) <= t * (whi + 1)
     search = _scan_min_cost if scan else _heap_min_cost
-    return search(weights, counts, costs, wlo, whi, accept)
+    return search(weights, counts, costs, wlo, whi, kernel)
 
 
 def min_winning_weight(rep: Representation) -> int:

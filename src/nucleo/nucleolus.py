@@ -35,6 +35,8 @@ from .coalitions import (
     EnumerationLimit,
     OracleStall,
     ProfileCoalition,
+    _movable,
+    _scan_min_cost,
     min_cost_selection,
     min_winning_weight,
 )
@@ -117,28 +119,6 @@ class NucleusBox:
         }
 
 
-def _movable(vec: Sequence[int], kernel: list[list[int]]) -> bool:
-    """A coalition vector has non-constant excess on the fixed affine hull
-    iff it is not orthogonal to the hull's kernel."""
-    for kv in kernel:
-        s = 0
-        for j, d in zip(vec, kv):
-            if j and d:
-                s += j * d
-        if s:
-            return True
-    return False
-
-
-def _prepend_item(sums: list[int], step: int, count: int) -> list[int]:
-    """Lattice sums with one more item, taken 0..count times, put first."""
-    out = list(sums)
-    for j in range(1, count + 1):
-        shift = j * step
-        out += [s + shift for s in sums]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the solving space: players grouped into classes with one payoff variable each
 # ---------------------------------------------------------------------------
@@ -208,27 +188,27 @@ class _ItemSpace:
     def best_excess(self, y: Sequence[Fraction], kernel: list[list[int]]):
         """Maximum-excess movable pool vector, or None.
 
-        Ties prefer a winning coalition, then the lexicographically smallest
-        count vector (the knapsack's enumeration order, which ``_scan_best``
-        keeps when the knapsack search stalls).
+        The winning and the losing windows each get their cheapest movable
+        selection.  Ties prefer a winning coalition, then the
+        lexicographically smallest count vector.  When the knapsack search
+        stalls, ``_scan_min_cost`` answers both windows with the same tie
+        rule, over at most ``_SCAN_CAP`` count vectors
+        (``EnumerationLimit`` beyond).
         """
         denom = math.lcm(*(v.denominator for v in y))
         costs = tuple(int(v * denom) for v in y)
-
-        def acceptable(vec: tuple[int, ...]) -> bool:
-            return _movable(vec, kernel)
-
+        # win_cut is the ceiling of a positive quota, so both windows exist
+        windows = ((self.win_cut, self.total_weight), (0, self.win_cut - 1))
         try:
-            win = min_cost_selection(self.weights, self.counts, costs,
-                                     self.win_cut, self.total_weight,
-                                     accept=acceptable)
-            lose = None
-            if self.win_cut >= 1:
-                lose = min_cost_selection(self.weights, self.counts, costs,
-                                          0, self.win_cut - 1,
-                                          accept=acceptable)
+            win, lose = (min_cost_selection(self.weights, self.counts, costs, lo, hi, kernel)
+                         for lo, hi in windows)
         except OracleStall:
-            return self._scan_best(costs, denom, kernel)
+            size = math.prod(c + 1 for c in self.counts)
+            if size > _SCAN_CAP:
+                raise EnumerationLimit(
+                    f"oracle fallback scan of {size} count vectors (cap {_SCAN_CAP})")
+            win, lose = (_scan_min_cost(self.weights, self.counts, costs, lo, hi, kernel)
+                         for lo, hi in windows)
 
         best = None  # (excess numerator, winning flag, vec)
         if win is not None:
@@ -238,44 +218,6 @@ class _ItemSpace:
         if best is None:
             return None
         return tuple(best[2]), Fraction(best[0], denom)
-
-    def _scan_best(self, costs, denom, kernel):
-        """The knapsack's answer with no rejection budget, by a full scan of
-        at most ``_SCAN_CAP`` count vectors (``EnumerationLimit`` beyond).
-
-        Sums are built item by item, last item first, so list order is the
-        lexicographic order of the count vectors, and the first maximum of
-        (excess, winning flag) follows ``best_excess``'s tie rule.  The
-        kernel vectors are folded into one integer combination, in a base
-        above twice any of their sums, that vanishes exactly where all do.
-        """
-        size = math.prod(c + 1 for c in self.counts)
-        if size > _SCAN_CAP:
-            raise EnumerationLimit(
-                f"oracle fallback scan of {size} count vectors (cap {_SCAN_CAP})")
-        fold, base = [0] * self.dim, 1
-        for kv in kernel:
-            fold = [f + base * d for f, d in zip(fold, kv)]
-            base *= 2 * sum(c * abs(d) for c, d in zip(self.counts, kv)) + 1
-        # per vector: weight, minus twice the cost, folded kernel sum
-        wsum, csum, ksum = [0], [0], [0]
-        for w, c, f, n in reversed(list(zip(self.weights, costs, fold, self.counts))):
-            wsum = _prepend_item(wsum, w, n)
-            csum = _prepend_item(csum, -2 * c, n)
-            ksum = _prepend_item(ksum, f, n)
-        # key: twice the excess numerator, plus one if winning; fixed
-        # vectors get a key below every other
-        win_key, cut, low = 2 * denom + 1, self.win_cut, min(csum) - 1
-        keys = [(win_key + c if w >= cut else c) if f else low
-                for w, c, f in zip(wsum, csum, ksum)]
-        top = max(keys)
-        if top == low:
-            return None
-        idx, vec = keys.index(top), []
-        for n in reversed(self.counts):
-            idx, j = divmod(idx, n + 1)
-            vec.append(j)
-        return tuple(reversed(vec)), Fraction(top >> 1, denom)
 
     # -- back to the caller's players ----------------------------------------
 

@@ -48,6 +48,11 @@ def brute_max_excess(rep, x, forbidden=frozenset()):
     return best
 
 
+def movable(vec, kernel):
+    """Whether a count vector is not orthogonal to every kernel vector."""
+    return any(sum(j * d for j, d in zip(vec, kv)) for kv in kernel)
+
+
 def brute_excess_vector(rep, x):
     """All excesses, weakly decreasing, ties by bitmask ascending."""
     recs = []

@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction as F
 
-import numpy as np
-
 from nucleo.games import representation
 from nucleo.nucleolus import nucleolus
 from nucleo.theory import (
@@ -143,31 +141,29 @@ def test_criterion_5_flagship():
 
 
 class _ExcessNums:
-    """Excess numerators of all 2^n coalitions as one integer array."""
+    """Excess numerators of all 2^n coalitions as one list of integers."""
 
     def __init__(self, rep):
-        self.n = rep.n
-        weights = [int(w) for w in rep.original_weights]
-        wsum = np.zeros(1, dtype=np.int64)
-        for w in weights:
-            wsum = np.concatenate([wsum, wsum + w])
-        self.win = wsum >= math.ceil(rep.quota)
+        cut = math.ceil(rep.quota)
+        wsum = [0]
+        for w in rep.original_weights:
+            wsum += [s + int(w) for s in wsum]
+        self.win = [s >= cut for s in wsum]
 
     def nums(self, x):
         xs = [F(v) for v in x]
-        denom = 1
+        denom = math.lcm(*(v.denominator for v in xs))
+        nums = [0]
         for v in xs:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        xsum = np.zeros(1, dtype=object)
-        for v in xs:
-            xsum = np.concatenate([xsum, xsum + int(v * denom)])
-        return np.where(self.win, denom, 0).astype(object) - xsum, denom
+            paid = int(v * denom)
+            nums += [e - paid for e in nums]
+        return [e + denom if win else e for win, e in zip(self.win, nums)], denom
 
 
 def _lex_dominates(xs_cache, arr_x, dx, arr_y, dy):
     """Ordered excesses of x weakly precede those of y lexicographically."""
-    top_x = arr_x.max()
-    top_y = arr_y.max()
+    top_x = max(arr_x)
+    top_y = max(arr_y)
     lhs, rhs = top_x * dy, top_y * dx
     if lhs < rhs:
         return True
@@ -175,8 +171,8 @@ def _lex_dominates(xs_cache, arr_x, dx, arr_y, dy):
         # a genuine violation; report through the caller's assert
         return False
     if "sorted" not in xs_cache:
-        xs_cache["sorted"] = sorted(arr_x.tolist(), reverse=True)
-    ys = sorted(arr_y.tolist(), reverse=True)
+        xs_cache["sorted"] = sorted(arr_x, reverse=True)
+    ys = sorted(arr_y, reverse=True)
     for vx, vy in zip(xs_cache["sorted"], ys):
         lhs, rhs = vx * dy, vy * dx
         if lhs < rhs:

@@ -295,9 +295,10 @@ def in_window(weights, counts, wlo, whi):
             if wlo <= sum(j * w for j, w in zip(vec, weights)) <= whi]
 
 
-def brute_min_cost(weights, counts, costs, wlo, whi, accept):
+def brute_min_cost(weights, counts, costs, wlo, whi, kernel):
     return min(((sum(j * c for j, c in zip(vec, costs)), vec)
-                for vec in in_window(weights, counts, wlo, whi) if accept(vec)),
+                for vec in in_window(weights, counts, wlo, whi)
+                if oracles.movable(vec, kernel)),
                default=None)
 
 
@@ -308,71 +309,86 @@ def random_selection(rng, t, top_weight):
     total = sum(w * c for w, c in zip(weights, counts))
     wlo = 0 if rng.random() < 0.4 else rng.randint(1, total)
     whi = rng.randint(wlo, total) if rng.random() < 0.5 else total
-    # reject the cheapest few candidates, so partition sub-boxes are searched,
-    # and a few more anywhere in the window
-    window = sorted((sum(j * c for j, c in zip(vec, costs)), vec)
-                    for vec in in_window(weights, counts, wlo, whi))
-    rejected = {vec for _, vec in window[:rng.randint(0, 8)]}
-    rejected |= {vec for _, vec in rng.sample(window, min(3, len(window)))}
-    return weights, counts, costs, wlo, whi, lambda vec: vec not in rejected
+    # sparse kernel vectors leave many vectors unmovable, so cheap candidates
+    # are rejected and partition sub-boxes are searched
+    kernel, size = [], rng.randint(1, 3)
+    while len(kernel) < size:
+        kv = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(t)]
+        if any(kv):
+            kernel.append(kv)
+    return weights, counts, costs, wlo, whi, kernel
 
 
 @pytest.mark.parametrize("search", [_scan_min_cost, _heap_min_cost, min_cost_selection])
 def test_min_cost_selection_matches_brute_lexicographic_minimum(search):
     rng = random.Random(9091)
+    rejected = 0
     for _ in range(150):
-        weights, counts, costs, wlo, whi, accept = random_selection(
+        weights, counts, costs, wlo, whi, kernel = random_selection(
             rng, rng.randint(1, 5), rng.choice((3, 12, 200)))
-        assert search(weights, counts, costs, wlo, whi, accept) == brute_min_cost(
-            weights, counts, costs, wlo, whi, accept)
+        want = brute_min_cost(weights, counts, costs, wlo, whi, kernel)
+        assert search(weights, counts, costs, wlo, whi, kernel) == want
+        # answers found after at least one rejected candidate
+        cheapest = min(((sum(j * c for j, c in zip(vec, costs)), vec)
+                        for vec in in_window(weights, counts, wlo, whi)), default=None)
+        rejected += want is not None and want != cheapest
+    assert rejected >= 40
 
 
 def test_min_cost_selection_breaks_cost_ties_by_counts():
     # all costs zero over a wide window: every selection ties, so the answer
-    # is the lexicographically smallest count vector of the window
+    # is the lexicographically smallest movable count vector of the window
     weights, counts, costs = [5, 3, 2], [2, 3, 2], [0, 0, 0]
     for search in (_scan_min_cost, _heap_min_cost):
-        assert search(weights, counts, costs, 7, 30, lambda vec: True) == (0, (0, 1, 2))
-        assert search(weights, counts, costs, 7, 30,
-                      lambda vec: vec[0] > 0) == (0, (1, 0, 1))
+        assert search(weights, counts, costs, 7, 30, identity_kernel(3)) == (0, (0, 1, 2))
+        # movable iff vec[0] > 0
+        assert search(weights, counts, costs, 7, 30, [[1, 0, 0]]) == (0, (1, 0, 1))
     # costs proportional to weights: every selection of one weight ties
     weights, counts, costs = [6, 4, 2], [2, 2, 3], [3, 2, 1]
     for search in (_scan_min_cost, _heap_min_cost):
-        assert search(weights, counts, costs, 8, 8, lambda vec: True) == (4, (0, 1, 2))
-        assert search(weights, counts, costs, 8, 8,
-                      lambda vec: vec != (0, 1, 2)) == (4, (0, 2, 0))
+        assert search(weights, counts, costs, 8, 8, identity_kernel(3)) == (4, (0, 1, 2))
+        # of the weight-8 vectors, only (0, 1, 2) is orthogonal to (0, 2, -1)
+        assert search(weights, counts, costs, 8, 8, [[0, 2, -1]]) == (4, (0, 2, 0))
 
 
-def test_min_cost_selection_paths_share_the_rejection_budget():
-    weights, counts, costs = [1, 1, 1], [9, 9, 9], [5, 3, 2]
-    order = sorted((sum(j * c for j, c in zip(vec, costs)), vec)
-                   for vec in in_window(weights, counts, 0, 27))
-    for rank, stalls in ((_MAX_POPS, False), (_MAX_POPS + 1, True)):
-        cost, wanted = order[rank]
-        for search in (_scan_min_cost, _heap_min_cost):
-            if stalls:
-                with pytest.raises(OracleStall):
-                    search(weights, counts, costs, 0, 27, lambda vec: vec == wanted)
-            else:
-                assert search(weights, counts, costs, 0, 27,
-                              lambda vec: vec == wanted) == (cost, wanted)
-    # fewer candidates than the budget, none accepted: no answer, no stall
-    for search in (_scan_min_cost, _heap_min_cost):
-        assert search([1, 1], [9, 9], [1, 1], 0, 18, lambda vec: False) is None
+def test_min_cost_selection_none_when_no_vector_moves():
+    # every vector of weight at most 4 leaves out the weight-5 item, so it is
+    # orthogonal to the kernel: no answer, and no stall
+    weights, counts, costs = [2, 3, 5], [2, 2, 2], [1, 1, 1]
+    assert len(in_window(weights, counts, 0, 4)) == 4
+    for search in (_scan_min_cost, _heap_min_cost, min_cost_selection):
+        assert search(weights, counts, costs, 0, 4, [[0, 0, 1]]) is None
+
+
+def test_only_the_partition_search_has_a_rejection_budget(monkeypatch):
+    # the 31 * 31 vectors without the third item are unmovable and cheaper
+    # than any vector with it, so the search rejects 961 candidates first
+    args = ([1, 1, 1], [30, 30, 1], [1, 1, 1000], 0, 61, [[0, 0, 1]])
+    want = (1000, (0, 0, 1))
+    assert _MAX_POPS < 961
+    with pytest.raises(OracleStall):
+        min_cost_selection(*args)
+    monkeypatch.setattr(coalitions, "_MAX_POPS", 960)
+    with pytest.raises(OracleStall):
+        _heap_min_cost(*args)
+    monkeypatch.setattr(coalitions, "_MAX_POPS", 961)
+    assert _heap_min_cost(*args) == want
+    # the lattice scan has no budget
+    monkeypatch.setattr(coalitions, "_MAX_POPS", 0)
+    assert _scan_min_cost(*args) == want
 
 
 def test_min_cost_selection_scans_when_the_lattice_is_smaller(monkeypatch):
     calls = []
     monkeypatch.setattr(coalitions, "_scan_min_cost", lambda *a: calls.append("scan"))
     monkeypatch.setattr(coalitions, "_heap_min_cost", lambda *a: calls.append("heap"))
-    accept = lambda vec: True
     # 2^8 = 256 selections against 8 * 5001 table entries
-    min_cost_selection([600] * 8, [1] * 8, [1] * 8, 2500, 5000, accept)
+    min_cost_selection([600] * 8, [1] * 8, [1] * 8, 2500, 5000, identity_kernel(8))
     # 301^3 selections against 3 * 3601 table entries
-    min_cost_selection([4, 3, 2], [300] * 3, [1] * 3, 1500, 3600, accept)
+    min_cost_selection([4, 3, 2], [300] * 3, [1] * 3, 1500, 3600, identity_kernel(3))
     # 5 selections against 1 * 5 table entries, then against 1 * 4
-    min_cost_selection([1], [4], [1], 0, 4, accept)
-    min_cost_selection([1], [4], [1], 0, 3, accept)
+    min_cost_selection([1], [4], [1], 0, 4, [[1]])
+    min_cost_selection([1], [4], [1], 0, 3, [[1]])
     assert calls == ["scan", "heap", "scan", "heap"]
 
 

@@ -1,3 +1,4 @@
+import collections
 import importlib
 import json
 import math
@@ -272,13 +273,32 @@ def test_nucleus_box_exact_values(quota, weights, engine, lower, upper):
 
 
 # ---------------------------------------------------------------------------
-# the oracle's full-scan fallback, run when the knapsack search stalls
+# the oracle's stall fallback: a lattice scan when the knapsack search stalls
 # ---------------------------------------------------------------------------
 
 
-def scan_setup(rep, granularity, rng):
-    """A space, a kernel with one frozen row beyond efficiency, and integer
-    costs of a random nonnegative payoff per class."""
+@pytest.fixture
+def oracle_paths(monkeypatch):
+    """Calls per oracle path: the lattice scan and the partition search that
+    ``min_cost_selection`` picks between, and ``best_excess``'s fallback."""
+    calls = collections.Counter()
+
+    def counted(name, search):
+        def wrapper(*args):
+            calls[name] += 1
+            return search(*args)
+        return wrapper
+
+    monkeypatch.setattr(coalitions, "_scan_min_cost", counted("scan", coalitions._scan_min_cost))
+    monkeypatch.setattr(coalitions, "_heap_min_cost", counted("heap", coalitions._heap_min_cost))
+    monkeypatch.setattr(nucleolus_module, "_scan_min_cost",
+                        counted("fallback", nucleolus_module._scan_min_cost))
+    return calls
+
+
+def oracle_setup(rep, granularity, rng):
+    """A space, a kernel with one frozen row beyond efficiency, and a random
+    nonnegative payoff per class."""
     space = _ItemSpace(rep, granularity)
     system, _ = _start(space)
     lattice = [range(c + 1) for c in space.counts]
@@ -286,14 +306,8 @@ def scan_setup(rep, granularity, rng):
         row = [rng.choice(r) for r in lattice]
         # consistent with the equal split, which satisfies efficiency
         system.add_row([F(j) for j in row], F(sum(row), rep.n))
-    kernel = system.kernel_basis_int()
-    denom = 97
-    costs = [rng.randint(0, 40) for _ in range(space.dim)]
-    return space, kernel, costs, denom
-
-
-def movable(vec, kernel):
-    return any(sum(j * d for j, d in zip(vec, kv)) for kv in kernel)
+    y = [F(rng.randint(0, 40), 97) for _ in range(space.dim)]
+    return space, system.kernel_basis_int(), y
 
 
 def brute_best_value(rep, granularity, y, kernel):
@@ -304,13 +318,13 @@ def brute_best_value(rep, granularity, y, kernel):
         skip = set()
         for S in oracles.coalitions(rep.n):
             vec = rep.to_sorted_order([int(i in S) for i in range(rep.n)])
-            if not movable(vec, kernel):
+            if not oracles.movable(vec, kernel):
                 skip.add(S)
         best = oracles.brute_max_excess(rep, x, skip)
         return None if best is None else best[0]
     best = None
     for prof in oracles.all_profiles(rep):
-        if not movable(prof.counts, kernel):
+        if not oracles.movable(prof.counts, kernel):
             continue
         e = (1 if prof.weight >= rep.quota else 0) - sum(
             (j * yk for j, yk in zip(prof.counts, y)), F(0))
@@ -319,61 +333,96 @@ def brute_best_value(rep, granularity, y, kernel):
 
 
 @pytest.mark.parametrize("granularity", ["player", "type"])
-def test_scan_best_matches_brute_reference(granularity, monkeypatch, capsys):
+def test_stall_fallback_matches_brute_reference(granularity, monkeypatch, oracle_paths):
     rng = random.Random(3131 if granularity == "player" else 4242)
-    checked = 0
+    checked = stalled = 0
     while checked < 40:
-        n = rng.randint(3, 8) if granularity == "player" else rng.randint(4, 14)
-        ws = [rng.randint(1, 6 if granularity == "player" else 4) for _ in range(n)]
+        n = rng.randint(6, 10) if granularity == "player" else rng.randint(4, 14)
+        ws = [rng.randint(1, 3 if granularity == "player" else 4) for _ in range(n)]
         rep = representation(rng.randint(2, sum(ws)), ws)
         if not oracles.has_imputation(rep):
             continue
         if granularity == "type" and rep.weight_types().t < 2:
             continue
-        space, kernel, costs, denom = scan_setup(rep, granularity, rng)
-        y = [F(c, denom) for c in costs]
-        got = space._scan_best(costs, denom, kernel)
+        space, kernel, y = oracle_setup(rep, granularity, rng)
         # the knapsack's own answer once its rejection budget cannot run out
-        with monkeypatch.context() as m:
-            m.setattr(coalitions, "_MAX_POPS", 10**9)
-            assert got == space.best_excess(y, kernel)
+        monkeypatch.setattr(coalitions, "_MAX_POPS", 10**9)
+        want = space.best_excess(y, kernel)
+        # a partition search stalls at its first rejected candidate
+        monkeypatch.setattr(coalitions, "_MAX_POPS", 0)
+        fallbacks = oracle_paths["fallback"]
+        got = space.best_excess(y, kernel)
+        assert got == want
+        if oracle_paths["fallback"] > fallbacks:
+            stalled += 1
+            last_stall = space, kernel, y, got
         expect = brute_best_value(rep, granularity, y, kernel)
         if expect is None:
             assert got is None
             continue
         vec, value = got
         assert value == expect
-        assert movable(vec, kernel)
+        assert oracles.movable(vec, kernel)
         assert space.excess_at(vec, y) == value
         checked += 1
+    assert stalled >= 10
 
-    # the scan lists at most _SCAN_CAP count vectors
+    # the fallback lists at most _SCAN_CAP count vectors
+    space, kernel, y, got = last_stall
     size = math.prod(c + 1 for c in space.counts)
     monkeypatch.setattr(nucleolus_module, "_SCAN_CAP", size)
-    assert space._scan_best(costs, denom, kernel) == got
+    assert space.best_excess(y, kernel) == got
     monkeypatch.setattr(nucleolus_module, "_SCAN_CAP", size - 1)
     with pytest.raises(EnumerationLimit, match="fallback scan"):
-        space._scan_best(costs, denom, kernel)
+        space.best_excess(y, kernel)
 
-    # a stall past the cap ends the solve with the resource-limit exit code;
-    # the brute solve of this game stalls on its own, the typed one is made
-    # to stall at its first rejected candidate
-    monkeypatch.setattr(nucleolus_module, "_SCAN_CAP", 8)
-    if granularity == "type":
+
+def test_oracle_prefers_a_winning_vector_on_a_tie(monkeypatch, oracle_paths):
+    # {3} loses and {2, 3} wins, both at excess 0, and {3} comes first; the
+    # winning window's 2^3 vectors are scanned, the losing window searched
+    space = _ItemSpace(representation(2, [1, 1, 1]), "player")
+    assert space.best_excess((F(1), F(1), F(0)), [[1, 1, 1]]) == ((0, 1, 1), F(0))
+    assert oracle_paths == {"scan": 1, "heap": 1}
+    # the same tie among eight players, where both windows take the
+    # partition search (2^8 vectors against 8 * 9 and 8 * 2 table entries);
+    # the losing window rejects the empty coalition, so a budget of 0 stalls
+    # it and the fallback answers
+    space = _ItemSpace(representation(2, [1] * 8), "player")
+    y, kernel = (F(1),) * 7 + (F(0),), [[1] * 8]
+    want = ((0,) * 6 + (1, 1), F(0))
+    assert space.best_excess(y, kernel) == want
+    assert oracle_paths == {"scan": 1, "heap": 3}
+    monkeypatch.setattr(coalitions, "_MAX_POPS", 0)
+    assert space.best_excess(y, kernel) == want
+    assert oracle_paths == {"scan": 1, "heap": 5, "fallback": 2}
+
+
+@pytest.mark.parametrize("engine", ["brute", "typed"])
+def test_stall_past_the_scan_cap_exits_3(engine, monkeypatch, capsys, oracle_paths):
+    game = "23 ; 3 1 2 4 1 3 1 4 3 3 1"
+    if engine == "typed":
+        # every oracle call of the typed solve takes the partition search,
+        # so a budget of 0 stalls it at its first rejected candidate
+        assert main(["solve", "--engine", "typed", game]) == 0
+        assert oracle_paths == {"heap": 8}
         monkeypatch.setattr(coalitions, "_MAX_POPS", 0)
-    engine = "brute" if granularity == "player" else "typed"
-    code = main(["solve", "--engine", engine, "23 ; 3 1 2 4 1 3 1 4 3 3 1"])
-    assert code == 3
+    # the brute solve stalls on its own
+    monkeypatch.setattr(nucleolus_module, "_SCAN_CAP", 8)
+    capsys.readouterr()
+    assert main(["solve", "--engine", engine, game]) == 3
     assert "fallback scan" in capsys.readouterr().err
 
 
-def test_scan_best_prefers_a_winning_vector_on_a_tie():
-    # {3} loses and {2, 3} wins, both at excess 0, and {3} comes first
-    space = _ItemSpace(representation(2, [1, 1, 1]), "player")
-    kernel = [[1, 1, 1]]
-    want = ((0, 1, 1), F(0))
-    assert space._scan_best((1, 1, 0), 1, kernel) == want
-    assert space.best_excess((F(1), F(1), F(0)), kernel) == want
+def test_scan_sized_oracle_calls_never_stall(monkeypatch, oracle_paths):
+    # eight players and least winning weight 40: every oracle call lists its
+    # 2^8 count vectors (no more than 8 * (whi + 1) table entries), which has
+    # no rejection budget, so neither the budget nor the fallback cap applies
+    rep = representation(40, [10, 9, 8, 7, 6, 5, 4, 3])
+    want = nucleolus(rep, engine="brute").x_star
+    monkeypatch.setattr(coalitions, "_MAX_POPS", 0)
+    monkeypatch.setattr(nucleolus_module, "_SCAN_CAP", 1)
+    assert nucleolus(rep, engine="brute").x_star == want
+    assert set(oracle_paths) == {"scan"}
 
 
 def test_stalling_brute_solve_does_not_import_numpy():
