@@ -118,11 +118,11 @@ def run_sequence(spec: SequenceSpec, ratio_pairs: Sequence[RatioPair] = (),
         rep = spec.game(value)
         res = nucleolus(rep, engine=engine)
         x = res.x_star
-        wbar = rep.normalize().to_input_order()
         try:
             report = gap_report(rep, x)
             gap, bound = report.l1_gap, report.bound
         except DegenerateQuota:
+            wbar = rep.normalize().to_input_order()
             gap = sum((abs(a - b) for a, b in zip(x, wbar)), Fraction(0))
             bound = None
         cells = []
@@ -137,9 +137,8 @@ def run_sequence(spec: SequenceSpec, ratio_pairs: Sequence[RatioPair] = (),
                 if w > 0 and w not in reg_weights:
                     reg_weights.append(w)
         table = rep.weight_types()
-        reg = tuple(
-            (w, table.multiplicity_of(w) * w / rep.total_weight) for w in reg_weights
-        )
+        total = rep.total_weight
+        reg = tuple((w, table.multiplicity_of(w) * w / total) for w in reg_weights)
         rows.append(ConvergenceRow(
             param=value, n=rep.n, l1_gap=gap, bound=bound,
             ratios=tuple(cells), regularity=reg,

@@ -122,7 +122,7 @@ class Representation:
 
     @property
     def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        return sum((w * c for w, c in self.weight_types().entries), Fraction(0))
 
     @property
     def original_weights(self) -> tuple[Fraction, ...]:

@@ -136,7 +136,7 @@ class _ItemSpace:
     def __init__(self, rep: Representation, granularity: str):
         self.n = rep.n
         weights = rep.original_weights
-        keep = [i for i, w in enumerate(weights) if w > 0]
+        keep = [i for i, w in enumerate(weights) if w]  # weights are nonnegative
         if len(keep) < rep.n:
             rep = representation(rep.quota, [weights[i] for i in keep])
         if not rep.has_integer_weights():

@@ -26,6 +26,7 @@ c the least winning weight).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +41,7 @@ from .coalitions import (
     reachable_weights,
 )
 from .exactlp import ExactLinearProgram, solve
-from .games import GameError, Representation, _to_fraction, representation
+from .games import GameError, Representation, ZeroTotalWeight, _to_fraction, representation
 from .linalg import EchelonSystem
 
 MAX_PAIR_PLAYERS = 16  # interchangeable_pairs lists up to n(n-1)/2 player pairs
@@ -88,51 +89,83 @@ class GapReport:
         }
 
 
+def _quota_bar(quota: Fraction, total) -> Fraction:
+    """quota / total, which must lie strictly between 0 and 1."""
+    if total == 0:
+        raise ZeroTotalWeight("total weight is zero")
+    qb = quota / total
+    if not 0 < qb < 1:
+        raise DegenerateQuota(f"normalized quota {qb} must lie strictly between 0 and 1")
+    return qb
+
+
 def gap_report(rep: Representation, x_star: Sequence) -> GapReport:
     """Gap diagnostics for a caller-supplied nucleolus vector (input order).
 
     Asserts the bound and the identity l1 = 2 * delta * wbar(S-); both hold
     for every genuine nucleolus, so a violation signals a bad input vector.
+
+    Works in integers: the weights scaled by the lcm of their denominators
+    are W_i with total T, the payoffs scaled by the lcm D of theirs are X_i,
+    so x_i - wbar_i has the sign of X_i*T - W_i*D and l1 is the sum of
+    |X_i*T - W_i*D| over D*T.  Only the O(1) results become ``Fraction``.
     """
-    norm = rep.normalize()
-    qb = norm.quota_bar
-    if not 0 < qb < 1:
-        raise DegenerateQuota(f"normalized quota {qb} must lie strictly between 0 and 1")
-    wbar = norm.to_input_order()
-    xs = tuple(_to_fraction(v) for v in x_star)
+    # sorted positions hold the weight types in blocks, heaviest first
+    entries = rep.weight_types().entries
+    wd = math.lcm(*(w.denominator for w, _ in entries))
+    types = [(w.numerator * (wd // w.denominator), c) for w, c in entries]
+    total = sum(wi * c for wi, c in types)
+    qb = _quota_bar(rep.quota * wd, total)
+    xs = [v if isinstance(v, Fraction) else _to_fraction(v) for v in x_star]
     if len(xs) != rep.n:
         raise GameError(f"payoff vector has length {len(xs)}, game has {rep.n} players")
 
-    s_plus = frozenset(i for i in range(rep.n) if xs[i] > wbar[i])
-    s_minus = frozenset(i for i in range(rep.n) if xs[i] <= wbar[i])
-    l1 = sum((abs(xs[i] - wbar[i]) for i in range(rep.n)), Fraction(0))
-    bound = 2 * max(wbar) / min(qb, 1 - qb)
+    d = math.lcm(*(v.denominator for v in xs))
+    s_plus, s_minus = [], []
+    l1_num = w_minus = x_minus = 0
+    players = iter(rep.input_order)
+    for wi, c in types:
+        wi_d = wi * d
+        for i in itertools.islice(players, c):
+            x = xs[i]
+            xi = x.numerator * (d // x.denominator)
+            diff = xi * total - wi_d
+            if diff > 0:
+                s_plus.append(i)
+                l1_num += diff
+            else:
+                s_minus.append(i)
+                l1_num -= diff
+                w_minus += wi
+                x_minus += xi
+    l1 = Fraction(l1_num, d * total)
+    bound = Fraction(2 * types[0][0], total) / min(qb, 1 - qb)
 
-    w_minus = sum((wbar[i] for i in s_minus), Fraction(0))
     if w_minus == 0:
         # impossible: weights cannot exceed payoffs everywhere when both sum to 1
         raise IdentityViolation("wbar(S-) = 0 cannot occur")
-    if w_minus == 1:
+    if w_minus == total:
         delta = Fraction(0)
-        if l1 != 0:
+        if l1_num != 0:
             raise IdentityViolation("wbar(S-) = 1 forces a zero gap for a nucleolus")
     else:
-        x_minus = sum((xs[i] for i in s_minus), Fraction(0))
-        delta = 1 - x_minus / w_minus
-        if l1 != 2 * delta * w_minus:
+        # delta = 1 - x(S-) / wbar(S-) = under / (D * W(S-)), so the identity
+        # l1 = 2 * delta * wbar(S-) reads l1_num = 2 * under over D*T
+        under = d * w_minus - x_minus * total
+        delta = Fraction(under, d * w_minus)
+        if l1_num != 2 * under:
             raise IdentityViolation("gap decomposition identity failed")
     if l1 > bound:
         raise IdentityViolation("gap exceeds the weight-distance bound")
-    return GapReport(l1_gap=l1, bound=bound, s_plus=s_plus, s_minus=s_minus, delta=delta)
+    return GapReport(l1_gap=l1, bound=bound, s_plus=frozenset(s_plus),
+                     s_minus=frozenset(s_minus), delta=delta)
 
 
 def distance_bound(rep: Representation) -> Fraction:
     """2 * wbar_1 / min(qbar, 1 - qbar), computable without solving."""
-    norm = rep.normalize()
-    qb = norm.quota_bar
-    if not 0 < qb < 1:
-        raise DegenerateQuota(f"normalized quota {qb} must lie strictly between 0 and 1")
-    return 2 * norm.weights_bar[0] / min(qb, 1 - qb)
+    total = rep.total_weight
+    qb = _quota_bar(rep.quota, total)
+    return 2 * (rep.weights[0] / total) / min(qb, 1 - qb)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +195,7 @@ class CoincidenceReport:
 def coincidence_report(rep: Representation) -> CoincidenceReport:
     if not rep.has_integer_weights():
         raise NonIntegerWeights("apply to_integer() before the coincidence test")
-    qb = rep.normalize().quota_bar
-    if not 0 < qb < 1:
-        raise DegenerateQuota(f"normalized quota {qb} must lie strictly between 0 and 1")
+    qb = _quota_bar(rep.quota, rep.total_weight)
     table = rep.weight_types()
     w1 = int(rep.weights[0])
     lhs = min(qb, 1 - qb) * table.m_circ

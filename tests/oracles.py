@@ -13,6 +13,8 @@ from itertools import combinations, product
 
 from nucleo.coalitions import ProfileCoalition
 from nucleo.exactlp import ExactLinearProgram, solve
+from nucleo.games import GameError, _to_fraction
+from nucleo.theory import DegenerateQuota, GapReport, IdentityViolation
 
 
 def coalitions(n):
@@ -197,6 +199,40 @@ def random_imputation(rep, rng, denominator=9973):
     cuts = sorted(rng.randint(0, denominator) for _ in range(n - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [denominator])]
     return tuple(lb + Fraction(p, denominator) * free for lb, p in zip(lbs, parts))
+
+
+def reference_gap_report(rep, x_star):
+    """``theory.gap_report`` as it was in ``Fraction`` arithmetic: the
+    normalized weights, then per-player compares, differences and sums."""
+    norm = rep.normalize()
+    qb = norm.quota_bar
+    if not 0 < qb < 1:
+        raise DegenerateQuota(f"normalized quota {qb} must lie strictly between 0 and 1")
+    wbar = norm.to_input_order()
+    xs = tuple(_to_fraction(v) for v in x_star)
+    if len(xs) != rep.n:
+        raise GameError(f"payoff vector has length {len(xs)}, game has {rep.n} players")
+
+    s_plus = frozenset(i for i in range(rep.n) if xs[i] > wbar[i])
+    s_minus = frozenset(i for i in range(rep.n) if xs[i] <= wbar[i])
+    l1 = sum((abs(xs[i] - wbar[i]) for i in range(rep.n)), Fraction(0))
+    bound = 2 * max(wbar) / min(qb, 1 - qb)
+
+    w_minus = sum((wbar[i] for i in s_minus), Fraction(0))
+    if w_minus == 0:
+        raise IdentityViolation("wbar(S-) = 0 cannot occur")
+    if w_minus == 1:
+        delta = Fraction(0)
+        if l1 != 0:
+            raise IdentityViolation("wbar(S-) = 1 forces a zero gap for a nucleolus")
+    else:
+        x_minus = sum((xs[i] for i in s_minus), Fraction(0))
+        delta = 1 - x_minus / w_minus
+        if l1 != 2 * delta * w_minus:
+            raise IdentityViolation("gap decomposition identity failed")
+    if l1 > bound:
+        raise IdentityViolation("gap exceeds the weight-distance bound")
+    return GapReport(l1_gap=l1, bound=bound, s_plus=s_plus, s_minus=s_minus, delta=delta)
 
 
 def lex_leq(vec_a, vec_b):

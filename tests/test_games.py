@@ -156,6 +156,7 @@ def test_weight_types_sum_and_bounds(ws_q):
         return
     table = rep.weight_types()
     assert sum(w * c for w, c in table.entries) == rep.total_weight
+    assert rep.total_weight == sum(rep.weights, F(0))
     assert sum(c for _, c in table.entries) == rep.n
     assert table.m_circ * table.t <= rep.n
 

@@ -3,10 +3,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nucleo.coalitions import EnumerationLimit, minimal_winning_count_vectors
 from nucleo.gameio import parse_game
-from nucleo.games import representation
+from nucleo.games import GameError, representation
 from nucleo.nucleolus import nucleolus
 from nucleo.theory import (
     DegenerateQuota,
@@ -77,6 +78,98 @@ def test_gap_rejects_degenerate_quota():
         gap_report(rep, (F(1, 2), F(1, 2)))
     with pytest.raises(DegenerateQuota):
         distance_bound(rep)
+
+
+def _gap_outcome(report, rep, x):
+    """The report, or the class and message of what it raised."""
+    try:
+        return report(rep, x)
+    except (GameError, IdentityViolation) as exc:
+        return type(exc), str(exc)
+
+
+# integer, fractional and zero weights
+GAP_WEIGHTS = (F(0), F(1), F(2), F(3), F(9), F(7, 2), F(5, 2), F(1, 3))
+PAYOFF_KINDS = ("solved", "wbar", "float", "str", "half", "double", "onehot",
+                "shifted", "random", "short", "long")
+
+
+@st.composite
+def gap_cases(draw, max_n=30):
+    n = draw(st.integers(1, max_n))
+    ws = draw(st.lists(st.sampled_from(GAP_WEIGHTS), min_size=n, max_size=n))
+    if not any(ws):
+        ws[0] = F(1)
+    # k = 12 puts the quota at the total weight, qbar = 1
+    rep = representation(sum(ws, F(0)) * F(draw(st.integers(1, 12)), 12), ws)
+    wbar = rep.normalize().to_input_order()
+    kind = draw(st.sampled_from(PAYOFF_KINDS))
+    if kind == "solved" and n <= 10 and oracles.has_imputation(rep):
+        x = nucleolus(rep).x_star
+    elif kind == "float":
+        x = [float(v) for v in wbar]
+    elif kind == "str":
+        x = [str(v) for v in wbar]
+    elif kind in ("half", "double"):
+        x = [v * (F(1, 2) if kind == "half" else 2) for v in wbar]
+    elif kind == "onehot":
+        j = draw(st.integers(0, n - 1))
+        x = [F(int(i == j)) for i in range(n)]
+    elif kind == "shifted":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        moved = wbar[i] * F(draw(st.integers(0, 4)), 4)
+        x = list(wbar)
+        x[i] -= moved
+        x[j] += moved
+    elif kind == "random":
+        x = [F(draw(st.integers(0, 6)), 7) for _ in range(n)]
+    elif kind == "short":
+        x = wbar[:-1]
+    elif kind == "long":
+        x = [*wbar, F(0)]
+    else:
+        x = wbar
+    return rep, x
+
+
+@given(gap_cases())
+@settings(max_examples=200, deadline=None)
+def test_gap_report_matches_fraction_reference(case):
+    rep, x = case
+    got = _gap_outcome(gap_report, rep, x)
+    assert got == _gap_outcome(oracles.reference_gap_report, rep, x)
+    if not isinstance(got, tuple):
+        assert got.bound == distance_bound(rep)
+
+
+@pytest.mark.parametrize("quota,weights,x,raised", [
+    # quota equal to the total weight: qbar = 1
+    (6, [3, 2, 1], [F(1, 2), F(1, 3), F(1, 6)], DegenerateQuota),
+    (3, [2, 1, 1], [F(1, 2), F(1, 2)], GameError),
+    # sums to 3/2: wbar(S-) = 1/2 is paid fully, yet l1 = 1/2
+    (3, [2, 1, 1], [F(1, 2), F(1, 2), F(1, 2)], IdentityViolation),
+    # half the normalized weights: all of S-, with a nonzero gap
+    (3, [2, 1, 1], [F(1, 4), F(1, 8), F(1, 8)], IdentityViolation),
+    # twice the normalized weights: S- is empty
+    (3, [2, 1, 1], [F(1), F(1, 2), F(1, 2)], IdentityViolation),
+    # all to one of four equal players: l1 = 3/2 against the bound 1
+    (2, [1] * 4, [F(1), F(0), F(0), F(0)], IdentityViolation),
+])
+def test_gap_report_checks_match_fraction_reference(quota, weights, x, raised):
+    rep = representation(quota, weights)
+    got = _gap_outcome(gap_report, rep, x)
+    assert got == _gap_outcome(oracles.reference_gap_report, rep, x)
+    assert got[0] is raised
+
+
+def test_gap_flagship_9000():
+    rep = representation(15000, [4] * 3000 + [3] * 3000 + [2] * 3000)
+    # criterion 5 of test_acceptance pins x* to the normalized weights
+    x = rep.normalize().to_input_order()
+    rpt = gap_report(rep, x)
+    assert rpt.l1_gap == 0
+    assert rpt.bound == F(1, 1500)
+    assert rpt == oracles.reference_gap_report(rep, x)
 
 
 # -- coincidence condition ----------------------------------------------------
