@@ -12,7 +12,9 @@ implementation:
   equally, and profile multiplicities do not depend on the payoff vector, so
   the restriction is lossless.
 
-Constraints are generated lazily.  The separation oracle is the min-cost
+One routine, ``_lazy_optimum``, builds and solves every payoff LP: a
+stage's master LP (eps free) and the LPs over its optimal face (eps fixed).
+Its rows are generated lazily.  The separation oracle is the min-cost
 covering knapsack from the coalition engine, with a capped scan of the count
 lattice when the knapsack search stalls; coalitions whose excess is
 constant on the affine hull fixed so far (in particular the empty and grand
@@ -20,7 +22,7 @@ coalitions, and everything frozen) are recognized by an exact kernel test
 and never surface.  A constraint is frozen when it is tight at every
 optimum of the stage LP, decided exactly: a strictly positive dual value
 proves it by complementary slackness, and the remaining active candidates
-get one auxiliary LP each over the optimal face.
+get one face LP each, as do the bounds of ``nucleus_box``.
 """
 
 from __future__ import annotations
@@ -241,71 +243,44 @@ class _ItemSpace:
 # ---------------------------------------------------------------------------
 
 
-def _solve_master(space: _ItemSpace, system: EchelonSystem, working: list):
-    """min eps over the fixed affine hull and the working excess rows;
-    returns (y, eps, dual value per working row)."""
-    dim = space.dim
-    lp = ExactLinearProgram(
-        num_vars=dim + 1,
-        objective=(0,) * dim + (1,),
-        sense="min",
-        lower_bounds=space.lower_bounds + (None,),
-    )
-    for row in system.rows:
-        lp.add_constraint(row[:dim] + [0], "=", row[dim])
-    for vec in working:
-        lp.add_constraint(list(vec) + [1], ">=", space.value(vec))
-    sol = solve(lp)
-    if sol.status == "infeasible":
-        raise NoImputation("the game admits no imputation")
-    if sol.status != "optimal":
-        raise SolverError(f"master LP returned {sol.status}")
-    work_duals = sol.duals[len(system.rows):]
-    return sol.values[:dim], sol.values[dim], work_duals
+def _lazy_optimum(space: _ItemSpace, system: EchelonSystem, working: list, kernel,
+                  objective: Sequence[int], sense: str, eps: Fraction | None = None,
+                  stop_at: Fraction | None = None):
+    """Exact optimum of a payoff LP over the fixed affine hull and the excess
+    rows the oracle asks for; returns the final ``LpSolution``.
 
-
-def _optimize_over_face(space: _ItemSpace, system: EchelonSystem, working: list,
-                        eps: Fraction, objective: Sequence[int], sense: str,
-                        kernel, stop_at: Fraction | None = None) -> Fraction:
-    """Exact optimum of a payoff functional over the current optimal face.
-
-    Cap constraints are generated lazily; if ``stop_at`` is given and some
-    relaxation already attains it, the true optimum equals ``stop_at`` and
-    the loop exits early (the relaxed optimizer itself is then discarded).
-    Newly discovered rows are appended to ``working``.
+    With ``eps=None`` this is the master LP: eps is a free last variable with
+    coefficient 1 in every excess row.  Otherwise it is a face LP with the
+    largest excess fixed at ``eps``.  Rows are generated lazily and appended
+    to ``working``.  If ``stop_at`` is given and some relaxation already
+    attains it, the true optimum equals ``stop_at`` and the loop exits early.
     """
+    dim = space.dim
+    master = eps is None
+    eps_col = [1] if master else []
+    shift = 0 if master else eps  # a fixed eps moves to the right-hand side
     while True:
-        dim = space.dim
         lp = ExactLinearProgram(
-            num_vars=dim,
+            num_vars=dim + len(eps_col),
             objective=tuple(objective),
             sense=sense,
-            lower_bounds=space.lower_bounds,
+            lower_bounds=space.lower_bounds + (None,) * len(eps_col),
         )
         for row in system.rows:
-            lp.add_constraint(row[:dim], "=", row[dim])
+            lp.add_constraint(row[:dim] + [0] * len(eps_col), "=", row[dim])
         for vec in working:
-            lp.add_constraint(list(vec), ">=", space.value(vec) - eps)
+            lp.add_constraint(list(vec) + eps_col, ">=", space.value(vec) - shift)
         sol = solve(lp)
+        if master and sol.status == "infeasible":
+            raise NoImputation("the game admits no imputation")
         if sol.status != "optimal":
-            raise SolverError(f"face LP returned {sol.status}")
+            raise SolverError(f"{'master' if master else 'face'} LP returned {sol.status}")
         if stop_at is not None and sol.objective_value == stop_at:
-            return stop_at
-        viol = space.best_excess(sol.values, kernel)
-        if viol is None or viol[1] <= eps:
-            return sol.objective_value
+            return sol
+        viol = space.best_excess(sol.values[:dim], kernel)
+        if viol is None or viol[1] <= (sol.values[dim] if master else eps):
+            return sol
         working.append(viol[0])
-
-
-def _always_tight(space: _ItemSpace, system: EchelonSystem, working: list,
-                  eps: Fraction, vec: tuple[int, ...], kernel) -> bool:
-    """Whether e(vec, .) = eps on the entire optimal face of this stage."""
-    floor = space.value(vec) - eps
-    best_paid = _optimize_over_face(space, system, working, eps,
-                                    vec, "max", kernel, stop_at=floor)
-    if best_paid < floor:  # the face contains a witness paying exactly floor
-        raise SolverError("face optimization below known witness")
-    return best_paid == floor
 
 
 def _start(space: _ItemSpace):
@@ -318,15 +293,18 @@ def _start(space: _ItemSpace):
     return system, space.seeds()
 
 
-def _stage_level(space: _ItemSpace, system: EchelonSystem, working: list, kernel):
-    """Grow ``working`` until the oracle confirms the master LP's optimum;
-    returns (y, eps, dual value per working row)."""
-    while True:
-        y, eps, work_duals = _solve_master(space, system, working)
-        viol = space.best_excess(y, kernel)
-        if viol is None or viol[1] <= eps:
-            return y, eps, work_duals
-        working.append(viol[0])
+def _stage_level(space: _ItemSpace, system: EchelonSystem, working: list):
+    """Keep the working rows that are movable on the fixed affine hull, add
+    the movable singletons, and run the master LP; returns (kernel, y, eps,
+    dual value per working row)."""
+    kernel = system.kernel_basis_int()
+    working[:] = [v for v in working if _movable(v, kernel)]
+    for single in space.singletons():
+        if single not in working and _movable(single, kernel):
+            working.append(single)
+    dim = space.dim
+    sol = _lazy_optimum(space, system, working, kernel, (0,) * dim + (1,), "min")
+    return kernel, sol.values[:dim], sol.values[dim], sol.duals[len(system.rows):]
 
 
 def _sequential_nucleolus(space: _ItemSpace):
@@ -340,27 +318,26 @@ def _sequential_nucleolus(space: _ItemSpace):
         stages += 1
         if stages > dim + 2:
             raise SolverError("stage count exceeded the dimension bound")
-        kernel = system.kernel_basis_int()
-
-        working = [v for v in working if _movable(v, kernel)]
-        for single in space.singletons():
-            if single not in working and _movable(single, kernel):
-                working.append(single)
-
-        y, eps, work_duals = _stage_level(space, system, working, kernel)
+        kernel, y, eps, work_duals = _stage_level(space, system, working)
 
         # constraints tight at every optimum of this stage: a positive dual
-        # value proves it (complementary slackness); zero-dual actives get an
-        # auxiliary LP over the optimal face, one each.  eps has cost 1 and
-        # coefficient 1 in every working row, so the working duals sum to 1
-        # and at least one row is frozen.
+        # value proves it (complementary slackness); a zero-dual active row
+        # is tight on the whole optimal face when the most the face can pay
+        # it is the floor value(vec) - eps, which y pays.  eps has cost 1
+        # and coefficient 1 in every working row, so the working duals sum
+        # to 1 and at least one row is frozen.
         frozen = [vec for vec, dual in zip(working, work_duals) if dual > 0]
         if not frozen:
             raise SolverError("no positive dual at the stage optimum")
         for vec, dual in zip(list(working), work_duals):
             if dual > 0 or space.excess_at(vec, y) != eps:
                 continue
-            if _always_tight(space, system, working, eps, vec, kernel):
+            floor = space.value(vec) - eps
+            paid = _lazy_optimum(space, system, working, kernel, vec, "max", eps,
+                                 stop_at=floor).objective_value
+            if paid < floor:
+                raise SolverError("face optimization below known witness")
+            if paid == floor:
                 frozen.append(vec)
 
         for vec in frozen:
@@ -441,16 +418,14 @@ def nucleus_box(rep: Representation, engine: str = "auto") -> NucleusBox:
     if system.rank == dim:
         lower = upper = system.solve_unique()
     else:
-        kernel = system.kernel_basis_int()
-        working = [v for v in working if _movable(v, kernel)]
-        _, eps, _ = _stage_level(space, system, working, kernel)
+        kernel, _, eps, _ = _stage_level(space, system, working)
         eps_face = max(eps, Fraction(0))
         lower, upper = [], []
         for k in range(dim):
             obj = [0] * dim
             obj[k] = 1
-            lower.append(_optimize_over_face(space, system, working, eps_face,
-                                             obj, "min", kernel))
-            upper.append(_optimize_over_face(space, system, working, eps_face,
-                                             obj, "max", kernel))
+            lower.append(_lazy_optimum(space, system, working, kernel, obj, "min",
+                                       eps_face).objective_value)
+            upper.append(_lazy_optimum(space, system, working, kernel, obj, "max",
+                                       eps_face).objective_value)
     return NucleusBox(lower=space.to_input(lower), upper=space.to_input(upper))

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import nucleo.cli
@@ -88,6 +89,41 @@ def test_classify_unexpected_lp_status_exit_code(capsys, monkeypatch):
         assert code == 4
         assert out == ""
         assert err == "error: internal invariant failed: homogeneity LP returned unbounded\n"
+
+
+def test_solve_lp_status_exit_codes(capsys, monkeypatch):
+    # the master LP minimizes eps over the imputations and a face LP
+    # optimizes over a face of them, a bounded set, so neither can be
+    # unbounded; that status is an internal error.  Only an infeasible
+    # master LP means the game has no imputation.
+    nucleolus_module = importlib.import_module("nucleo.nucleolus")  # not the function
+    real_solve = nucleolus_module.solve
+    monkeypatch.setattr(nucleolus_module, "solve", lambda lp: LpSolution("unbounded"))
+    code, out, err = run(capsys, "solve", "8; 6 4 3 2")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal invariant failed: master LP returned unbounded\n"
+
+    monkeypatch.setattr(nucleolus_module, "solve", lambda lp: LpSolution("infeasible"))
+    code, out, err = run(capsys, "solve", "8; 6 4 3 2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the game admits no imputation\n"
+
+    for status in ("unbounded", "infeasible"):
+        def face_fails(lp, status=status):
+            # a face LP has no eps column, the master LP's free last variable
+            if lp.lower_bounds[-1] is None:
+                return real_solve(lp)
+            return LpSolution(status)
+
+        # the first stage of this game runs one always-tight LP on either engine
+        monkeypatch.setattr(nucleolus_module, "solve", face_fails)
+        for engine in ("brute", "typed"):
+            code, out, err = run(capsys, "solve", "--engine", engine, "6 ; 4 5 9")
+            assert code == 4
+            assert out == ""
+            assert err == f"error: internal invariant failed: face LP returned {status}\n"
 
 
 def test_solve_json_round_trip(capsys):

@@ -9,6 +9,7 @@ it after an intended change of output:
 """
 
 import contextlib
+import importlib
 import io
 import json
 from pathlib import Path
@@ -78,6 +79,35 @@ def golden():
 @pytest.mark.parametrize("game,engine", CASES)
 def test_solve_json_matches_golden(golden, game, engine):
     assert solve_json(game, engine) == golden[game][engine]
+
+
+def test_solver_work_is_pinned(monkeypatch):
+    # LPs solved and oracle calls over GAMES, per engine.  A change that
+    # keeps the solver's LP sequence keeps these; one that moves them
+    # re-pins them and says why.
+    nuc = importlib.import_module("nucleo.nucleolus")  # the module, not the function
+    real_solve, real_best_excess = nuc.solve, nuc._ItemSpace.best_excess
+    tally = {"lps": 0, "oracle": 0}
+
+    def solve(lp):
+        tally["lps"] += 1
+        return real_solve(lp)
+
+    def best_excess(space, *args):
+        tally["oracle"] += 1
+        return real_best_excess(space, *args)
+
+    monkeypatch.setattr(nuc, "solve", solve)
+    monkeypatch.setattr(nuc._ItemSpace, "best_excess", best_excess)
+    work = {}
+    for engine in ("brute", "typed"):
+        tally.update(lps=0, oracle=0)
+        for game in GAMES:
+            if engine in engines(game):
+                nuc.nucleolus(parse_game(game), engine=engine)
+        work[engine] = dict(tally)
+    assert work == {"brute": {"lps": 181, "oracle": 132},
+                    "typed": {"lps": 122, "oracle": 89}}
 
 
 if __name__ == "__main__":

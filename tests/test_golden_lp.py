@@ -5,11 +5,16 @@
 strings.  The corpus mixes seeded random programs (every relation, negative
 right-hand sides, free variables, nonzero lower bounds, upper bounds, both
 senses, integer and fractional data), hand-made degenerate, redundant,
-infeasible and unbounded programs, and master/face LPs recorded from nucleolus
-solves.  Bland's rule makes the final basis, and so every reported value and
-dual, a function of the program alone; a change to the simplex that claims
-the same pivots must leave every entry unchanged.  To rewrite the file after
-an intended change of answers:
+infeasible and unbounded programs, and 40 master and face LPs (``solver k``)
+recorded from nucleolus solves at commit b888e6f.  The solver has built some
+of those LPs differently since (``solver 29`` to ``solver 37`` store the
+efficiency row with fractions, where it now builds the primitive integer
+row), so the recorded programs are kept as LP inputs, not as a copy of what
+the solver builds today.  Bland's rule makes the final basis, and so every
+reported value and dual, a function of the program alone; a change to the
+simplex that claims the same pivots must leave every entry unchanged.  To
+rewrite the file after an intended change of answers (this records the
+solver's LPs anew):
 
     PYTHONPATH=src python tests/test_golden_lp.py
 """
@@ -210,7 +215,8 @@ def _hand_made() -> list[tuple[str, dict]]:
 
 
 def _recorded_solver_programs(limit: int) -> list[tuple[str, dict]]:
-    """Master and face LPs exactly as the nucleolus solver builds them."""
+    """Master and face LPs as the nucleolus solver builds them when this
+    runs; the stored ``solver k`` programs were recorded at b888e6f."""
     from nucleo.games import representation
 
     nuc = importlib.import_module("nucleo.nucleolus")  # the module, not the function

@@ -223,8 +223,8 @@ def test_stage_without_a_positive_dual_is_an_internal_error(monkeypatch, capsys)
     real_stage_level = nucleolus_module._stage_level
 
     def zero_duals(*args):
-        y, eps, work_duals = real_stage_level(*args)
-        return y, eps, [F(0)] * len(work_duals)
+        kernel, y, eps, work_duals = real_stage_level(*args)
+        return kernel, y, eps, [F(0)] * len(work_duals)
 
     monkeypatch.setattr(nucleolus_module, "_stage_level", zero_duals)
     assert main(["solve", "8; 6 4 3 2"]) == 4

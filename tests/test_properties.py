@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nucleo.coalitions import ordered_excess_vector
@@ -53,11 +54,14 @@ def test_solver_is_deterministic(rep):
     assert [l.epsilon for l in first.levels] == [l.epsilon for l in again.levels]
 
 
+@pytest.mark.parametrize("engine", ["brute", "typed"])
 @given(imputable_games(max_n=6))
 @settings(max_examples=40, deadline=None)
-def test_nucleolus_lies_in_nucleus_box(rep):
-    box = nucleus_box(rep)
-    x = nucleolus(rep).x_star
+def test_nucleolus_lies_in_nucleus_box(engine, rep):
+    # the brute box ranges over all least-core imputations, the typed box
+    # over the weight-symmetric ones; both contain the nucleolus
+    box = nucleus_box(rep, engine=engine)
+    x = nucleolus(rep, engine=engine).x_star
     for lo, xi, hi in zip(box.lower, x, box.upper):
         assert lo <= xi <= hi
 
