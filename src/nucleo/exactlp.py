@@ -11,11 +11,15 @@ The tableau is an integer matrix ``T`` with a scalar divisor ``den`` such
 that the true simplex tableau is ``T / den`` (fraction-free pivoting); each
 pivot performs only integer multiplications and exact divisions, and every
 division is checked to be exact.  Rows are stored sparsely, as
-``{column: nonzero entry}``, and a pivot touches nonzeros only.  The
-artificial column of a ``>=`` row is not stored: it starts as minus the
-row's surplus column and row operations keep it so, so it is read as the
-negated surplus column.  Bland's rule is used for both entering and leaving
-variables, so the solver cannot cycle and is fully deterministic.
+``{column: nonzero entry}``, and a pivot touches nonzeros only.  Bland's
+rule is used for both entering and leaving variables, so the solver cannot
+cycle and is fully deterministic.  An artificial variable that leaves the
+basis never enters it again, in either phase: fixing it at 0 keeps phase 1
+on a face that holds the current solution and every feasible point, so the
+phase-1 optimum is still 0 exactly when the program is feasible.  Every
+entering column is therefore a stored one.  The artificial column of a
+``>=`` row is never stored: it is minus the row's surplus column, and the
+certificate reads it so.
 
 For every optimal solve a dual certificate is read from the reduced costs
 of the identity columns of the initial basis and verified against the
@@ -266,12 +270,12 @@ class _Tableau:
     stored separately in ``b``.  Each row ``T[i]`` and the reduced-cost row
     ``obj`` are ``{column: nonzero entry}``.
 
-    The artificial of a ``>=`` row is listed in ``mirror`` with that row's
-    surplus column and has no stored entries: its column is minus the
-    surplus column in every row, and its reduced cost is minus the
-    surplus's minus ``art_cost * den``, where ``art_cost`` is the cost of
-    every artificial in the installed objective.  Both identities hold
-    initially and are preserved by every row operation.
+    An artificial that leaves the basis never enters it again, so every
+    entering column is a stored one.  The artificial of a ``>=`` row is
+    listed in ``mirror`` with that row's surplus column and has no stored
+    entries: its column is minus the surplus column in every row, so after
+    phase 2 its reduced cost is minus the surplus's.  ``mirror`` serves
+    only that dual certificate.
     """
 
     def __init__(self, sf: _StandardForm):
@@ -308,7 +312,6 @@ class _Tableau:
         self.den = 1
         self.obj: dict[int, int] = {}
         self.obj_b = 0
-        self.art_cost = 0
         # initial basis: slack for <= rows, artificial otherwise
         self.basis = [
             self.art_col[i] if self.art_col[i] >= 0 else self.slack_col[i]
@@ -319,30 +322,18 @@ class _Tableau:
             if c >= 0:
                 self.is_artificial[c] = True
 
-    def _stored(self, j: int) -> tuple[int, int]:
-        """The stored column that holds column ``j``, and the sign to read it with."""
-        s = self.mirror.get(j)
-        return (j, 1) if s is None else (s, -1)
-
-    def reduced_cost(self, j: int) -> int:
-        s = self.mirror.get(j)
-        if s is None:
-            return self.obj.get(j, 0)
-        return -self.obj.get(s, 0) - self.art_cost * self.den
-
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, prow: int, pcol: int) -> None:
         T, b = self.T, self.b
         den = self.den
-        col, sign = self._stored(pcol)
         prow_vals, pb = T[prow], b[prow]
-        piv = prow_vals.get(col, 0) * sign
+        piv = prow_vals.get(pcol, 0)
         if piv == 0:
             raise SolverInternalError("zero pivot")
-        f_obj = self.reduced_cost(pcol)
+        f_obj = self.obj.get(pcol, 0)
         for i, row in enumerate(T):
-            f = row.get(col, 0) * sign
+            f = row.get(pcol, 0)
             if i == prow or (not f and piv == den):
                 continue  # a row the pivot column misses is scaled by piv / den
             T[i] = _combine(row, f, prow_vals, piv, den)
@@ -361,9 +352,9 @@ class _Tableau:
         den = self.den
         obj = {j: -c * den for j, c in enumerate(costs) if c}
         if art_cost:
-            for c in self.art_col:
-                if c >= 0 and c not in self.mirror:
-                    obj[c] = -art_cost * den
+            for a, s in zip(self.art_col, self.slack_col):
+                if a >= 0 and s < 0:  # the stored artificial of an = row
+                    obj[a] = -art_cost * den
         obj_b = 0
         for i, v in enumerate(self.basis):
             cv = art_cost if self.is_artificial[v] else (costs[v] if v < self.nz else 0)
@@ -373,28 +364,17 @@ class _Tableau:
                 obj_b += cv * self.b[i]
         self.obj = {j: v for j, v in obj.items() if v}
         self.obj_b = obj_b
-        self.art_cost = art_cost
 
     # -- simplex loop --------------------------------------------------------
 
-    def _entering(self, sgn: int, allow_artificial_entering: bool) -> int:
-        """Bland: the lowest column with a positive reduced cost, or -1."""
+    def _entering(self, sgn: int) -> int:
+        """Bland: the lowest non-artificial column with a positive reduced
+        cost, or -1."""
         is_art = self.is_artificial
-        enter = min((j for j, v in self.obj.items()
-                     if v * sgn > 0 and (allow_artificial_entering or not is_art[j])),
-                    default=-1)
-        if allow_artificial_entering and (enter < 0 or is_art[enter]):
-            # artificials follow every other column, so a stored artificial
-            # candidate only competes with the lower unstored ones; mirror
-            # lists them in increasing column order
-            for a in self.mirror:
-                if 0 <= enter < a:
-                    break
-                if self.reduced_cost(a) * sgn > 0:
-                    return a
-        return enter
+        return min((j for j, v in self.obj.items() if v * sgn > 0 and not is_art[j]),
+                   default=-1)
 
-    def run(self, allow_artificial_entering: bool) -> str:
+    def run(self) -> str:
         pivots = 0
         limit = 20000 + 500 * (self.m + self.ncols)
         T, b, basis = self.T, self.b, self.basis
@@ -403,13 +383,12 @@ class _Tableau:
             if pivots > limit:
                 raise SolverInternalError("pivot limit exceeded (cycling?)")
             sgn = 1 if self.den > 0 else -1
-            enter = self._entering(sgn, allow_artificial_entering)
+            enter = self._entering(sgn)
             if enter < 0:
                 return "optimal"
-            col, sign = self._stored(enter)
             leave, t_leave = -1, 0
             for i in range(self.m):
-                tij = T[i].get(col, 0) * sign
+                tij = T[i].get(enter, 0)
                 if tij * sgn <= 0:
                     continue
                 if leave < 0:
@@ -447,7 +426,7 @@ def _solve_phases(sf: _StandardForm):
     dropped: list[int] = []
     if any(c >= 0 for c in tab.art_col):
         tab.set_objective([0] * tab.nz, art_cost=1)
-        status = tab.run(allow_artificial_entering=True)
+        status = tab.run()
         if status != "optimal":
             raise SolverInternalError("phase 1 cannot be unbounded")
         if tab.obj_b != 0:
@@ -455,7 +434,7 @@ def _solve_phases(sf: _StandardForm):
         dropped = _drive_out_artificials(tab)
 
     tab.set_objective(sf.int_obj, art_cost=0)
-    status = tab.run(allow_artificial_entering=False)
+    status = tab.run()
     return status, tab, dropped
 
 
@@ -463,7 +442,8 @@ def _certificate(tab: _Tableau, dropped: list[int]):
     """The optimum as integers over one positive denominator ``d``:
     ``(z, y, d)`` with ``z_j / d`` the structural values and
     ``y_i / (d * obj_scale)`` the internal dual of row ``i``, read from the
-    reduced cost of the row's identity column."""
+    reduced cost of the row's identity column (of a ``>=`` row's unstored
+    artificial: minus its surplus column's)."""
     sgn = 1 if tab.den > 0 else -1
     z = [0] * tab.nz
     for i, v in enumerate(tab.basis):
@@ -471,11 +451,13 @@ def _certificate(tab: _Tableau, dropped: list[int]):
             z[v] = tab.b[i] * sgn
     y = []
     for i in range(tab.m):
+        art, slack = tab.art_col[i], tab.slack_col[i]
         if i in dropped:
             y.append(0)
+        elif art in tab.mirror:
+            y.append(-tab.obj.get(tab.mirror[art], 0) * sgn)
         else:
-            col = tab.art_col[i] if tab.art_col[i] >= 0 else tab.slack_col[i]
-            y.append(tab.reduced_cost(col) * sgn)
+            y.append(tab.obj.get(art if art >= 0 else slack, 0) * sgn)
     return z, y, tab.den * sgn
 
 

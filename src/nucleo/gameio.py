@@ -4,7 +4,8 @@ Grammar (UTF-8 text): the first non-comment, non-blank line is
 
     quota ; w1 w2 ... wn
 
-Tokens are integers, fractions ``p/q`` or decimals.  The quota may also be
+Tokens are integers, fractions ``p/q`` or decimals (no exponents or
+underscores), in ASCII digits with an optional sign.  The quota may also be
 a percentage ``58%``, which is resolved at parse time to an exact rational
 fraction of the total weight.  Weights additionally accept a run-length
 form ``k*w`` meaning ``k`` players of weight ``w``.  Lines starting with
@@ -13,6 +14,7 @@ form ``k*w`` meaning ``k`` players of weight ``w``.  Lines starting with
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .games import GameError, Representation, representation
@@ -22,11 +24,19 @@ class ParseError(GameError):
     pass
 
 
+# an integer, p/q or a decimal, in ASCII digits; ``Fraction`` alone would
+# also take exponents (``1e999999999`` builds a billion-digit integer) and
+# underscores, which the grammar does not have
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
 def parse_rational(token: str) -> Fraction:
     token = token.strip()
+    if not _RATIONAL.fullmatch(token):
+        raise ParseError(f"cannot parse rational token {token!r}")
     try:
         return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # p/0, or past int's digit limit
         raise ParseError(f"cannot parse rational token {token!r}") from exc
 
 

@@ -260,17 +260,15 @@ def is_homogeneous_rep(rep: Representation) -> bool:
     if q.denominator != 1:
         return False  # coalition weights are integers, so none equals q
     q_int = int(q)
-    wmax = max(weights)
-    for w0 in range(q_int + 1, q_int + wmax):
-        # a minimal winning coalition of weight w0 uses only types heavier
-        # than the winning margin w0 - q
-        margin = w0 - q_int
-        allowed = [(w, c) for w, c in zip(weights, counts) if w > margin]
-        if not allowed:
-            continue
-        reach = reachable_weights([w for w, _ in allowed], [c for _, c in allowed])
-        if reach >> w0 & 1:
-            return False
+    # a minimal winning coalition above q loses once its lightest member
+    # (type k; types are sorted by decreasing weight) leaves, so the rest,
+    # over types 0..k with one fewer of type k, weighs in [q - w_k + 1, q - 1];
+    # any such rest plus one player of type k is one
+    for k, wk in enumerate(weights):
+        if wk > 1:
+            reach = reachable_weights(weights[:k + 1], counts[:k] + [counts[k] - 1])
+            if _reach_in(reach, q_int - wk + 1, q_int - 1):
+                return False
     return True
 
 

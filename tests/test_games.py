@@ -225,6 +225,20 @@ def test_parse_comments_and_errors():
         parse_game("3; 0*2 1")
 
 
+def test_parse_refuses_exponents_and_underscores():
+    # Fraction takes these, but the grammar has neither; 1e999999999 would
+    # build a billion-digit integer before any check
+    for text in ("1e5; 1 2", "5; 2e0 3", "5; 1_0 3", "1e2%; 1 2", "1e999999999; 1 2",
+                 "5; 2*1e3", "5; 1/2e1 3", "5; 1.5/2 3", "5; inf 3", "5; 1/0 3"):
+        with pytest.raises(ParseError):
+            parse_game(text)
+    # the documented forms, with signs and both decimal ends
+    rep = parse_game("+7/2 ; 1. .5 2.25 3/2 2*1")
+    assert rep.quota == F(7, 2)
+    assert rep.original_weights == (F(1), F(1, 2), F(9, 4), F(3, 2), F(1), F(1))
+    assert parse_game("50.0%; 1 3").quota == 2
+
+
 def test_format_round_trips():
     rep = representation(F(7, 2), [1, 2, 2, 2])
     assert parse_game(format_game(rep)).original_weights == rep.original_weights

@@ -29,6 +29,10 @@ import pytest
 
 from nucleo import exactlp
 from nucleo.exactlp import ExactLinearProgram, LinearConstraint, solve
+from nucleo.gameio import parse_game
+from nucleo.nucleolus import nucleolus
+
+from test_golden import GAMES, engines
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "lp.json"
 SEED = 20261018
@@ -89,21 +93,25 @@ def test_corpus_covers_every_outcome(golden):
 
 
 # (row, column) of every pivot in the two corpus programs where the
-# artificial of a ``>=`` row re-enters the basis in phase 1 (columns 11 and
-# 6).  Forbidding the re-entry leaves their answers unchanged, so only the
-# pivot sequence pins Bland's rule there.
+# artificial of a ``>=`` row used to re-enter the basis in phase 1.  An
+# artificial that leaves the basis never enters again, so those pivots are
+# gone and the answers are unchanged; the sequences still pin Bland's rule
+# on these degenerate programs.
 REENTRY_PIVOTS = {
-    "degenerate 7": [(1, 0), (3, 1), (2, 2), (7, 3), (1, 5), (1, 11)],
-    "degenerate 14": [(0, 0), (2, 1), (0, 6), (0, 0), (3, 2), (4, 4)],
+    "degenerate 7": [(1, 0), (3, 1), (2, 2), (7, 3), (1, 5)],
+    "degenerate 14": [(0, 0), (2, 1), (3, 2), (4, 4)],
 }
 
 
-def test_artificial_reentry_pivots(golden, monkeypatch):
-    pivots = []
+def test_no_artificial_enters_the_basis(golden, monkeypatch):
+    # over the LP corpus and the solves of the golden games, both engines
+    pivots, artificial = [], []
     real_pivot = exactlp._Tableau._pivot
 
     def record(tab, prow, pcol):
         pivots.append((prow, pcol))
+        if tab.is_artificial[pcol]:
+            artificial.append((prow, pcol))
         return real_pivot(tab, prow, pcol)
 
     monkeypatch.setattr(exactlp._Tableau, "_pivot", record)
@@ -112,6 +120,14 @@ def test_artificial_reentry_pivots(golden, monkeypatch):
         pivots.clear()
         answer(programs[name])
         assert pivots == expected, name
+    for case in golden:
+        answer(case["program"])
+    for game in GAMES:
+        for engine in ("brute", "typed"):
+            if engine in engines(game):
+                nucleolus(parse_game(game), engine=engine)
+    assert len(pivots) > 1000
+    assert artificial == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -246,13 +247,38 @@ def test_homogeneous_examples():
 
 
 def test_homogeneous_matches_brute():
+    # zero weights, weights up to 12 and quotas in steps of 1/2 or 1/3
     rng = random.Random(4)
-    for _ in range(60):
+    answers = {True: 0, False: 0}
+    for _ in range(400):
         n = rng.randint(1, 8)
-        ws = [rng.randint(1, 5) for _ in range(n)]
-        q = rng.randint(1, sum(ws))
+        ws = [rng.randint(0, rng.choice((5, 12))) for _ in range(n)]
+        if sum(ws) == 0:
+            ws[0] = 1
+        step = rng.choice((1, 1, 2, 3))
+        q = F(rng.randint(1, step * sum(ws)), step)
         rep = representation(q, ws)
-        assert is_homogeneous_rep(rep) == oracles.brute_is_homogeneous(rep)
+        got = is_homogeneous_rep(rep)
+        assert got == oracles.brute_is_homogeneous(rep), (q, ws)
+        answers[got] += 1
+    assert min(answers.values()) >= 40
+
+
+def test_homogeneous_makes_one_knapsack_per_weight_type(monkeypatch):
+    # the work must not grow with the largest weight: at most one knapsack
+    # per weight type, not one per candidate coalition weight in (q, q + 1000)
+    theory = importlib.import_module("nucleo.theory")
+    calls = []
+    real = theory.reachable_weights
+
+    def counted(weights, counts):
+        calls.append(len(weights))
+        return real(weights, counts)
+
+    monkeypatch.setattr(theory, "reachable_weights", counted)
+    rep = parse_game("5; 1000 1 1 1 1 1")
+    assert not is_homogeneous_rep(rep)
+    assert 1 <= len(calls) <= len(rep.weight_types().weights)
 
 
 def test_null_players_examples():
