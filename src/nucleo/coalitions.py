@@ -233,9 +233,18 @@ class _MinimalWinningSearch:
 # ---------------------------------------------------------------------------
 
 
+MAX_BITSET_WEIGHT = 1 << 27  # one bit per unit of weight: 16 MiB per bitset
+
+
 def reachable_weights(weights: Sequence[int], counts: Sequence[int]) -> int:
     """Bitset (Python int) with bit w set iff some selection within the given
-    multiplicities has total weight exactly w.  Binary-split bounded knapsack."""
+    multiplicities has total weight exactly w.  Binary-split bounded knapsack.
+    ``EnumerationLimit`` is raised when the total weight exceeds
+    ``MAX_BITSET_WEIGHT``."""
+    total = sum(w * c for w, c in zip(weights, counts))
+    if total > MAX_BITSET_WEIGHT:
+        raise EnumerationLimit(
+            f"total weight {total} exceeds the bitset limit {MAX_BITSET_WEIGHT}")
     r = 1
     for w, c in zip(weights, counts):
         if w == 0 or c == 0:

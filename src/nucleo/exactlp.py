@@ -10,16 +10,20 @@ when its right-hand side is negative.
 The tableau is an integer matrix ``T`` with a scalar divisor ``den`` such
 that the true simplex tableau is ``T / den`` (fraction-free pivoting); each
 pivot performs only integer multiplications and exact divisions, and every
-division is checked to be exact.  Rows are stored sparsely, as
-``{column: nonzero entry}``, and a pivot touches nonzeros only.  Bland's
-rule is used for both entering and leaving variables, so the solver cannot
-cycle and is fully deterministic.  An artificial variable that leaves the
+division is checked to be exact.  Every row has one form, sparse
+``{column: nonzero entry}``: the right-hand side is one more column, after
+the artificials, that never enters the basis, and the reduced-cost row is
+the last row, its right-hand-side entry the objective value.  A pivot
+updates every row alike and touches nonzeros only.  Bland's rule is used
+for both entering and leaving variables, so the solver cannot cycle and is
+fully deterministic.  An artificial variable that leaves the
 basis never enters it again, in either phase: fixing it at 0 keeps phase 1
 on a face that holds the current solution and every feasible point, so the
 phase-1 optimum is still 0 exactly when the program is feasible.  Every
 entering column is therefore a stored one.  The artificial column of a
-``>=`` row is never stored: it is minus the row's surplus column, and the
-certificate reads it so.
+``>=`` row is never stored: it is minus the row's surplus column, so the
+certificate reads that row's dual as minus the surplus column's reduced
+cost.
 
 For every optimal solve a dual certificate is read from the reduced costs
 of the identity columns of the initial basis and verified against the
@@ -254,28 +258,22 @@ def _combine(row: dict, f: int, prow: dict, piv: int, den: int) -> dict:
     return out
 
 
-def _combine_rhs(v: int, f: int, pv: int, piv: int, den: int) -> int:
-    q, r = divmod(v * piv - f * pv, den)
-    if r:
-        raise SolverInternalError("fraction-free pivot divisibility failed")
-    return q
-
-
 class _Tableau:
     """Fraction-free simplex tableau with sparse rows.
 
     ``T[i][j] / den`` is the true tableau entry; ``den`` may take either
     sign, so all comparisons go through its sign.  Column layout:
-    structural z | slack/surplus | artificial, with the right-hand side
-    stored separately in ``b``.  Each row ``T[i]`` and the reduced-cost row
-    ``obj`` are ``{column: nonzero entry}``.
+    structural z | slack/surplus | artificial | right-hand side, the last
+    being column ``rhs = ncols``.  Rows ``T[0..m-1]`` are the constraints
+    and ``T[m]`` is the reduced-cost row, whose ``rhs`` entry is the
+    objective value; every row is ``{column: nonzero entry}``, and a pivot
+    updates them all alike.
 
-    An artificial that leaves the basis never enters it again, so every
-    entering column is a stored one.  The artificial of a ``>=`` row is
-    listed in ``mirror`` with that row's surplus column and has no stored
-    entries: its column is minus the surplus column in every row, so after
-    phase 2 its reduced cost is minus the surplus's.  ``mirror`` serves
-    only that dual certificate.
+    The artificials and the ``rhs`` column never enter the basis
+    (``never_enters``), so every entering column is a stored one.  The
+    artificial of a ``>=`` row has no stored entries: its column is minus
+    the row's surplus column in every row, so after phase 2 its reduced
+    cost, the row's dual, is minus the surplus's.
     """
 
     def __init__(self, sf: _StandardForm):
@@ -289,14 +287,13 @@ class _Tableau:
             if rel in (LE, GE):
                 self.slack_col[i] = ncols
                 ncols += 1
+        first_art = ncols
         for i, rel in enumerate(sf.row_relation):
             if rel in (EQ, GE):
                 self.art_col[i] = ncols
                 ncols += 1
-        self.mirror = {self.art_col[i]: self.slack_col[i]
-                       for i, rel in enumerate(sf.row_relation) if rel == GE}
 
-        self.m, self.ncols, self.nz = m, ncols, nz
+        self.m, self.ncols, self.nz, self.rhs = m, ncols, nz, ncols
         self.T: list[dict[int, int]] = []
         for i in range(m):
             row = dict(sf.int_rows[i])
@@ -307,44 +304,38 @@ class _Tableau:
                 row[self.slack_col[i]] = -1
             else:
                 row[self.art_col[i]] = 1
+            if sf.int_rhs[i]:
+                row[self.rhs] = sf.int_rhs[i]
             self.T.append(row)
-        self.b = list(sf.int_rhs)
+        self.T.append({})  # the reduced-cost row, installed by set_objective
         self.den = 1
-        self.obj: dict[int, int] = {}
-        self.obj_b = 0
         # initial basis: slack for <= rows, artificial otherwise
         self.basis = [
             self.art_col[i] if self.art_col[i] >= 0 else self.slack_col[i]
             for i in range(m)
         ]
-        self.is_artificial = [False] * ncols
-        for c in self.art_col:
-            if c >= 0:
-                self.is_artificial[c] = True
+        self.never_enters = [j >= first_art for j in range(ncols + 1)]
 
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, prow: int, pcol: int) -> None:
-        T, b = self.T, self.b
+        T = self.T
         den = self.den
-        prow_vals, pb = T[prow], b[prow]
+        prow_vals = T[prow]
         piv = prow_vals.get(pcol, 0)
         if piv == 0:
             raise SolverInternalError("zero pivot")
-        f_obj = self.obj.get(pcol, 0)
         for i, row in enumerate(T):
             f = row.get(pcol, 0)
             if i == prow or (not f and piv == den):
                 continue  # a row the pivot column misses is scaled by piv / den
             T[i] = _combine(row, f, prow_vals, piv, den)
-            b[i] = _combine_rhs(b[i], f, pb, piv, den)
-        self.obj = _combine(self.obj, f_obj, prow_vals, piv, den)
-        self.obj_b = _combine_rhs(self.obj_b, f_obj, pb, piv, den)
         self.den = piv
         self.basis[prow] = pcol
 
     def set_objective(self, costs: Sequence[int], art_cost: int) -> None:
-        """Install objective row  obj_j = c_B . T[:,j] - c_j * den  (scaled).
+        """Install the reduced-cost row  T[m][j] = c_B . T[:,j] - c_j * den
+        (scaled), whose ``rhs`` entry is c_B . b.
 
         ``costs`` holds the structural costs and ``art_cost`` the cost of
         every artificial; slacks cost nothing.
@@ -355,29 +346,27 @@ class _Tableau:
             for a, s in zip(self.art_col, self.slack_col):
                 if a >= 0 and s < 0:  # the stored artificial of an = row
                     obj[a] = -art_cost * den
-        obj_b = 0
         for i, v in enumerate(self.basis):
-            cv = art_cost if self.is_artificial[v] else (costs[v] if v < self.nz else 0)
+            # a basic column that never enters is an artificial
+            cv = art_cost if self.never_enters[v] else (costs[v] if v < self.nz else 0)
             if cv:
                 for j, t in self.T[i].items():
                     obj[j] = obj.get(j, 0) + cv * t
-                obj_b += cv * self.b[i]
-        self.obj = {j: v for j, v in obj.items() if v}
-        self.obj_b = obj_b
+        self.T[self.m] = {j: v for j, v in obj.items() if v}
 
     # -- simplex loop --------------------------------------------------------
 
     def _entering(self, sgn: int) -> int:
-        """Bland: the lowest non-artificial column with a positive reduced
+        """Bland: the lowest column that may enter with a positive reduced
         cost, or -1."""
-        is_art = self.is_artificial
-        return min((j for j, v in self.obj.items() if v * sgn > 0 and not is_art[j]),
+        barred = self.never_enters
+        return min((j for j, v in self.T[self.m].items() if v * sgn > 0 and not barred[j]),
                    default=-1)
 
     def run(self) -> str:
         pivots = 0
         limit = 20000 + 500 * (self.m + self.ncols)
-        T, b, basis = self.T, self.b, self.basis
+        T, basis, rhs = self.T, self.basis, self.rhs
         while True:
             pivots += 1
             if pivots > limit:
@@ -386,21 +375,23 @@ class _Tableau:
             enter = self._entering(sgn)
             if enter < 0:
                 return "optimal"
-            leave, t_leave = -1, 0
+            leave, t_leave, b_leave = -1, 0, 0
             for i in range(self.m):
-                tij = T[i].get(enter, 0)
+                row = T[i]
+                tij = row.get(enter, 0)
                 if tij * sgn <= 0:
                     continue
+                bi = row.get(rhs, 0)
                 if leave < 0:
-                    leave, t_leave = i, tij
+                    leave, t_leave, b_leave = i, tij, bi
                     continue
-                # compare b[i]/T[i][enter] with b[leave]/T[leave][enter]; both
+                # compare b_i/T[i][enter] with b_leave/T[leave][enter]; both
                 # denominators share den's sign, so their product is positive
                 # and the cross-multiplied comparison is exact either way
-                lhs = b[i] * t_leave
-                rhs = b[leave] * tij
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, t_leave = i, tij
+                lhs = bi * t_leave
+                other = b_leave * tij
+                if lhs < other or (lhs == other and basis[i] < basis[leave]):
+                    leave, t_leave, b_leave = i, tij, bi
             if leave < 0:
                 return "unbounded"
             self._pivot(leave, enter)
@@ -409,10 +400,11 @@ class _Tableau:
 def _drive_out_artificials(tab: _Tableau) -> list[int]:
     """Pivot basic artificials out; returns indices of dropped (redundant) rows."""
     dropped = []
+    barred = tab.never_enters
     for i in range(tab.m):
-        if not tab.is_artificial[tab.basis[i]]:
+        if not barred[tab.basis[i]]:
             continue
-        pcol = min((j for j in tab.T[i] if not tab.is_artificial[j]), default=-1)
+        pcol = min((j for j in tab.T[i] if not barred[j]), default=-1)
         if pcol >= 0:
             tab._pivot(i, pcol)
         else:
@@ -429,7 +421,7 @@ def _solve_phases(sf: _StandardForm):
         status = tab.run()
         if status != "optimal":
             raise SolverInternalError("phase 1 cannot be unbounded")
-        if tab.obj_b != 0:
+        if tab.rhs in tab.T[tab.m]:  # a nonzero phase-1 optimum
             return "infeasible", tab, dropped
         dropped = _drive_out_artificials(tab)
 
@@ -448,16 +440,17 @@ def _certificate(tab: _Tableau, dropped: list[int]):
     z = [0] * tab.nz
     for i, v in enumerate(tab.basis):
         if v < tab.nz:
-            z[v] = tab.b[i] * sgn
+            z[v] = tab.T[i].get(tab.rhs, 0) * sgn
+    obj = tab.T[tab.m]
     y = []
     for i in range(tab.m):
         art, slack = tab.art_col[i], tab.slack_col[i]
         if i in dropped:
             y.append(0)
-        elif art in tab.mirror:
-            y.append(-tab.obj.get(tab.mirror[art], 0) * sgn)
+        elif art >= 0 and slack >= 0:  # a >= row
+            y.append(-obj.get(slack, 0) * sgn)
         else:
-            y.append(tab.obj.get(art if art >= 0 else slack, 0) * sgn)
+            y.append(obj.get(art if art >= 0 else slack, 0) * sgn)
     return z, y, tab.den * sgn
 
 
@@ -498,10 +491,8 @@ def solve(lp: ExactLinearProgram) -> LpSolution:
     """Exact optimal basic solution, or infeasible/unbounded status."""
     sf = _StandardForm(lp)
     status, tab, dropped = _solve_phases(sf)
-    if status == "infeasible":
-        return LpSolution(status="infeasible")
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
+    if status != "optimal":
+        return LpSolution(status=status)
 
     z, y, d = _certificate(tab, dropped)
     _verify_optimal(sf, z, y, d)

@@ -8,8 +8,9 @@ Tokens are integers, fractions ``p/q`` or decimals (no exponents or
 underscores), in ASCII digits with an optional sign.  The quota may also be
 a percentage ``58%``, which is resolved at parse time to an exact rational
 fraction of the total weight.  Weights additionally accept a run-length
-form ``k*w`` meaning ``k`` players of weight ``w``.  Lines starting with
-``#`` are comments.
+form ``k*w`` meaning ``k`` players of weight ``w``, where ``k`` is ASCII
+digits; a game of more than ``MAX_PLAYERS`` players raises
+``EnumerationLimit``.  Lines starting with ``#`` are comments.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .coalitions import EnumerationLimit
 from .games import GameError, Representation, representation
+
+# the most players a game may list: parsing "500000; 1000000*1" already takes
+# seconds and hundreds of MB, and every solver path is capped far below it
+MAX_PLAYERS = 1_000_000
 
 
 class ParseError(GameError):
@@ -61,15 +67,21 @@ def parse_game(text: str) -> Representation:
     for token in weights_part.split():
         if "*" in token:
             count_str, _, weight_str = token.partition("*")
+            # ASCII digits only: int() alone also takes underscores, signs
+            # and non-ASCII digits
+            if not (count_str.isascii() and count_str.isdigit()):
+                raise ParseError(f"bad run-length count in {token!r}")
             try:
                 count = int(count_str)
-            except ValueError as exc:
+            except ValueError as exc:  # past int's digit limit
                 raise ParseError(f"bad run-length count in {token!r}") from exc
             if count < 1:
                 raise ParseError(f"run-length count must be >= 1 in {token!r}")
-            weights.extend([parse_rational(weight_str)] * count)
         else:
-            weights.append(parse_rational(token))
+            count, weight_str = 1, token
+        if len(weights) + count > MAX_PLAYERS:
+            raise EnumerationLimit(f"more than {MAX_PLAYERS} players")
+        weights.extend([parse_rational(weight_str)] * count)
     if not weights:
         raise ParseError("no weights given after ';'")
 

@@ -212,14 +212,14 @@ class _ItemSpace:
             win, lose = (_scan_min_cost(self.weights, self.counts, costs, lo, hi, kernel)
                          for lo, hi in windows)
 
-        best = None  # (excess numerator, winning flag, vec)
+        best = None  # (excess numerator, vec); the strict > leaves a tie to win
         if win is not None:
-            best = (denom - win[0], True, win[1])
+            best = (denom - win[0], win[1])
         if lose is not None and (best is None or -lose[0] > best[0]):
-            best = (-lose[0], False, lose[1])
+            best = (-lose[0], lose[1])
         if best is None:
             return None
-        return tuple(best[2]), Fraction(best[0], denom)
+        return tuple(best[1]), Fraction(best[0], denom)
 
     # -- back to the caller's players ----------------------------------------
 

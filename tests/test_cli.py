@@ -60,6 +60,21 @@ def test_solve_limit_exit_code(capsys):
     assert "brute engine limited to 20 players, game has 21" in err
 
 
+def test_bad_run_length_count_exit_code(capsys):
+    for game in ("5; 1_0*1", "2; \u0663*1", "2; +3*1"):
+        code, out, err = run(capsys, "solve", game)
+        assert code == 2, game
+        assert "bad run-length count" in err
+
+
+def test_check_bitset_limit_exit_code(capsys):
+    # total weight 2**27 + 5, past the one-bit-per-unit knapsack cap
+    code, out, err = run(capsys, "check", "5; 134217728 1 1 1 1 1")
+    assert code == 3
+    assert out == ""
+    assert "bitset limit" in err
+
+
 def test_solve_internal_error_exit_code(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise SolverError("stage count exceeded the dimension bound")

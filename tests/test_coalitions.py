@@ -283,6 +283,15 @@ def test_reachable_weights_bitset():
     assert {w for w in range(12) if bits >> w & 1} == {0, 3, 4, 7, 8, 11}
 
 
+def test_reachable_weights_caps_the_total_weight():
+    # one bit per unit of total weight: 2**27 bits is 16 MiB
+    assert reachable_weights([2**27], [1]) == 1 | 1 << 2**27
+    with pytest.raises(EnumerationLimit, match="bitset limit"):
+        reachable_weights([2**27 + 1], [1])
+    with pytest.raises(EnumerationLimit):
+        reachable_weights([2**26, 1], [2, 1])
+
+
 # -- min_cost_selection against a brute lexicographic minimum -------------------
 
 

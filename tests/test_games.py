@@ -12,6 +12,8 @@ from nucleo.games import (
     representation,
     validate,
 )
+import nucleo.gameio as gameio
+from nucleo.coalitions import EnumerationLimit
 from nucleo.gameio import ParseError, format_game, parse_game
 
 import oracles
@@ -237,6 +239,22 @@ def test_parse_refuses_exponents_and_underscores():
     assert rep.quota == F(7, 2)
     assert rep.original_weights == (F(1), F(1, 2), F(9, 4), F(3, 2), F(1), F(1))
     assert parse_game("50.0%; 1 3").quota == 2
+
+
+def test_parse_run_length_counts_are_ascii_digits():
+    # int() takes all three: 10, 3 and 3 players
+    for text in ("5; 1_0*1", "2; \u0663*1", "2; +3*1", "2; *1", "2; 1" + "0" * 5000 + "*1"):
+        with pytest.raises(ParseError):
+            parse_game(text)
+
+
+def test_parse_caps_the_player_count(monkeypatch):
+    monkeypatch.setattr(gameio, "MAX_PLAYERS", 10)
+    for text in ("5; 11*1", "5; 6*1 5*1", "5; 9*1 1 1"):
+        with pytest.raises(EnumerationLimit):
+            parse_game(text)
+    assert parse_game("5; 10*1").n == 10
+    assert parse_game("5; 5*1 4*1 1").n == 10
 
 
 def test_format_round_trips():

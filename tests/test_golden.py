@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from nucleo import exactlp
 from nucleo.cli import main
 from nucleo.gameio import parse_game
 from nucleo.nucleolus import MAX_BRUTE_PLAYERS
@@ -82,32 +83,38 @@ def test_solve_json_matches_golden(golden, game, engine):
 
 
 def test_solver_work_is_pinned(monkeypatch):
-    # LPs solved and oracle calls over GAMES, per engine.  A change that
-    # keeps the solver's LP sequence keeps these; one that moves them
-    # re-pins them and says why.
+    # LPs solved, simplex pivots and oracle calls over GAMES, per engine.
+    # A change that keeps the solver's LP sequence and pivot path keeps
+    # these; one that moves them re-pins them and says why.
     nuc = importlib.import_module("nucleo.nucleolus")  # the module, not the function
     real_solve, real_best_excess = nuc.solve, nuc._ItemSpace.best_excess
-    tally = {"lps": 0, "oracle": 0}
+    real_pivot = exactlp._Tableau._pivot
+    tally = {"lps": 0, "pivots": 0, "oracle": 0}
 
     def solve(lp):
         tally["lps"] += 1
         return real_solve(lp)
+
+    def pivot(tab, prow, pcol):
+        tally["pivots"] += 1
+        return real_pivot(tab, prow, pcol)
 
     def best_excess(space, *args):
         tally["oracle"] += 1
         return real_best_excess(space, *args)
 
     monkeypatch.setattr(nuc, "solve", solve)
+    monkeypatch.setattr(exactlp._Tableau, "_pivot", pivot)
     monkeypatch.setattr(nuc._ItemSpace, "best_excess", best_excess)
     work = {}
     for engine in ("brute", "typed"):
-        tally.update(lps=0, oracle=0)
+        tally.update(lps=0, pivots=0, oracle=0)
         for game in GAMES:
             if engine in engines(game):
                 nuc.nucleolus(parse_game(game), engine=engine)
         work[engine] = dict(tally)
-    assert work == {"brute": {"lps": 181, "oracle": 132},
-                    "typed": {"lps": 122, "oracle": 89}}
+    assert work == {"brute": {"lps": 181, "pivots": 3195, "oracle": 132},
+                    "typed": {"lps": 122, "pivots": 1474, "oracle": 89}}
 
 
 if __name__ == "__main__":

@@ -110,7 +110,7 @@ def test_no_artificial_enters_the_basis(golden, monkeypatch):
 
     def record(tab, prow, pcol):
         pivots.append((prow, pcol))
-        if tab.is_artificial[pcol]:
+        if tab.never_enters[pcol]:
             artificial.append((prow, pcol))
         return real_pivot(tab, prow, pcol)
 
