@@ -16,6 +16,11 @@ Over winning coalitions the maximum excess is 1 minus the cost of a
 cheapest winning selection, and over losing ones minus the cost of a
 cheapest losing one.
 
+Minimal winning profiles come from one generator, ``_iter_minimal_winning``,
+a depth-first search over per-type counts kept on an explicit stack, which
+yields them in lexicographic order; a caller may stop early, and
+``minimal_winning_count_vectors`` is its list under a length cap.
+
 What an item is belongs to the caller: the solver's ``_ItemSpace`` (in
 ``nucleolus``) uses one item per player, or one per weight type, so the
 900-player showcase game has three items.
@@ -174,58 +179,71 @@ def minimal_winning_count_vectors(rep: Representation, cap: int = 200_000) -> li
 
 def _minimal_winning_vectors(tweights: list[int], counts: list[int], win_cut: int,
                              cap: int) -> list[tuple[int, ...]]:
-    """``minimal_winning_count_vectors`` of the game whose type weights
+    """The list of ``_iter_minimal_winning``; ``EnumerationLimit`` is raised
+    when it would grow longer than ``cap``."""
+    out: list[tuple[int, ...]] = []
+    for vec in _iter_minimal_winning(tweights, counts, win_cut):
+        if len(out) == cap:
+            raise EnumerationLimit(f"more than {cap} profiles")
+        out.append(vec)
+    return out
+
+
+def _iter_minimal_winning(tweights: list[int], counts: list[int], win_cut: int):
+    """Yield the minimal winning count vectors of the game whose type weights
     (descending integers) and counts are given and whose least winning weight
-    is ``win_cut``.  Pure integer arithmetic; profiles live in the weight
-    window [win_cut, win_cut + w1 - 1]."""
-    search = _MinimalWinningSearch(tweights, counts, win_cut, cap)
-    search.visit(0, 0, None)
-    return search.out
+    is ``win_cut``, one at a time in lexicographic order, so a caller may stop
+    early.
 
-
-class _MinimalWinningSearch:
-    """Depth-first search over per-type counts for ``_minimal_winning_vectors``.
-
-    A class, not a nested closure: a closure that calls itself is a
-    reference cycle, which keeps its result list alive until the cyclic
-    garbage collector runs.  ``acc`` holds the counts chosen so far.
+    A depth-first search over per-type counts with an explicit stack of
+    ``(k, weight, light, j, hi)``: types ``0..k-1`` are fixed in ``acc``, weigh
+    ``weight`` together, their lightest type used weighs ``light``, and counts
+    ``j..hi`` of type ``k`` are still to try.  Pure integer arithmetic; every
+    count kept leaves the weight within the window [win_cut, win_cut + w1 - 1]
+    and able to reach ``win_cut`` with every later player added.  Weights fall
+    with the type index, so a winning profile is minimal iff dropping one
+    player of ``light`` loses.
     """
-
-    def __init__(self, tweights, counts, win_cut, cap):
-        self.tweights = tweights
-        self.counts = counts
-        self.suffix_weight = [0] * (len(tweights) + 1)
-        for k in reversed(range(len(tweights))):
-            self.suffix_weight[k] = self.suffix_weight[k + 1] + tweights[k] * counts[k]
-        self.win_cut = win_cut
-        self.hi_cut = win_cut + max(tweights) - 1
-        self.cap = cap
-        self.acc = [0] * len(tweights)
-        self.out: list[tuple[int, ...]] = []
-
-    def visit(self, k: int, weight: int, light: int | None):
-        """Extend the counts of types ``0..k-1`` (total ``weight``, lightest
-        type used weighing ``light``).  Weights fall with the type index, so
-        a winning profile is minimal iff dropping one player of ``light``
-        loses."""
-        if k == len(self.tweights):
-            if weight >= self.win_cut and (light is None or weight - light < self.win_cut):
-                if len(self.out) == self.cap:
-                    raise EnumerationLimit(f"more than {self.cap} profiles")
-                self.out.append(tuple(self.acc))
-            return
-        wk = self.tweights[k]
-        # counts whose weight stays within the window and can still reach
-        # the quota with every later player added
-        need = self.win_cut - weight - self.suffix_weight[k + 1]
+    t = len(tweights)
+    suffix_weight = [0] * (t + 1)
+    for k in reversed(range(t)):
+        suffix_weight[k] = suffix_weight[k + 1] + tweights[k] * counts[k]
+    hi_cut = win_cut + max(tweights) - 1
+    acc = [0] * t
+    stack: list[tuple[int, int, int | None, int, int]] = []
+    k, weight, light = 0, 0, None
+    while True:
+        wk = tweights[k]
+        need = win_cut - weight - suffix_weight[k + 1]
         if wk:
             lo = max(0, -(-need // wk))
-            hi = min(self.counts[k], (self.hi_cut - weight) // wk)
+            hi = min(counts[k], (hi_cut - weight) // wk)
         else:
-            lo, hi = 0, (self.counts[k] if need <= 0 else -1)
-        for j in range(lo, hi + 1):
-            self.acc[k] = j
-            self.visit(k + 1, weight + j * wk, wk if j else light)
+            lo, hi = 0, (counts[k] if need <= 0 else -1)
+        if k + 1 < t:
+            stack.append((k, weight, light, lo, hi))
+        else:
+            # the last type completes the profile, and every count from lo
+            # on wins, so it is minimal iff one player fewer of its lightest
+            # type loses
+            for j in range(lo, hi + 1):
+                last = wk if j else light
+                if last is None or weight + j * wk - last < win_cut:
+                    acc[k] = j
+                    yield tuple(acc)
+        # the deepest type with a count left to try opens the next level
+        while stack:
+            k, weight, light, j, hi = stack.pop()
+            if j <= hi:
+                stack.append((k, weight, light, j + 1, hi))
+                acc[k] = j
+                if j:
+                    weight += j * tweights[k]
+                    light = tweights[k]
+                k += 1
+                break
+        else:
+            return
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The sequential nucleolus scheme holds the equalities fixed so far in it
 (efficiency plus frozen coalition rows), asks it for the rank, for an integer
 kernel basis (the separation oracle's "constant excess" filter) and for the
 point once the system pins one.  The homogeneity search feeds it one integer
-row per minimal winning coalition or profile, tens of thousands of them.
+row per minimal winning profile until the rows reach full rank.
 
 Rows are stored fraction-free (Bareiss 1968): integer vectors, so reducing an
 incoming row costs integer products only, and the exact LPs take the stored

@@ -15,13 +15,17 @@ so they stay exact and fast even for games with hundreds of players.
 
 The homogeneity search solves for (weights, quota) with every minimal
 winning coalition at exactly the quota and every maximal losing one at most
-the quota minus 1.  It lists weight-type profiles, one weight per type: the
-equalities go into an ``EchelonSystem`` as integer rows, and an exact LP
-with lazily added losing rows finds a witness of least total weight or
-proves that none exists.  One pruned search lists both sides: a maximal
-losing profile is the complement of a minimal winning profile of the dual
-game, whose least winning weight is W - c + 1 (W the total integer weight,
-c the least winning weight).
+the quota minus 1.  It works over weight-type profiles, one weight per type:
+the minimal winning profiles stream into an ``EchelonSystem`` as integer
+rows, and the search stops with "no" once those reach full rank t + 1,
+since homogeneous rows of full rank leave only the zero quota.  Otherwise
+an exact LP with lazily added losing rows finds a witness of least total
+weight or proves that none exists.  ``EnumerationLimit`` is raised when
+more than the cap of minimal winning profiles is needed before full rank,
+or when the maximal losing list is longer than the cap.  One pruned
+search lists both sides: a maximal losing profile is the complement of a
+minimal winning profile of the dual game, whose least winning weight is
+W - c + 1 (W the total integer weight, c the least winning weight).
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from typing import Callable, Iterable, Sequence
 from .coalitions import (
     EnumerationLimit,
     NonIntegerWeights,
+    _iter_minimal_winning,
     _minimal_winning_vectors,
     min_winning_weight,
-    minimal_winning_count_vectors,
     reachable_weights,
 )
 from .exactlp import ExactLinearProgram, solve
@@ -403,18 +407,28 @@ def permits_homogeneous_rep(rep: Representation, profile_cap: int = 200_000):
 
     The system is written over weight-type profiles, one weight per type,
     which is lossless because the solution set is convex and invariant under
-    permuting equal-weight players.  The maximal losing profiles come from
-    the minimal winning search run on the dual game.  ``EnumerationLimit``
-    is raised when either profile list exceeds ``profile_cap``; no game with
-    at most 16 players comes near the default, since each list has at most
-    2^n entries.
+    permuting equal-weight players.  The minimal winning profiles are
+    streamed into the equalities w(S) - q = 0, and the search answers False
+    as soon as those reach full rank t + 1: the rows are homogeneous, so only
+    w = 0, q = 0 solves them, and the quota must be at least 1.  Otherwise
+    the maximal losing profiles come from the minimal winning search run on
+    the dual game.  ``EnumerationLimit`` is raised when more than
+    ``profile_cap`` minimal winning profiles are needed before full rank, or
+    when the maximal losing list exceeds ``profile_cap``; no game with at
+    most 16 players comes near the default, since each list has at most 2^n
+    entries.
     """
     ri = _integer_form(rep)
     table = ri.weight_types()
     t = table.t
     system = EchelonSystem(t + 1)
-    for vec in minimal_winning_count_vectors(ri, cap=profile_cap):
+    profiles = _iter_minimal_winning(*_type_ints(ri), min_winning_weight(ri))
+    for used, vec in enumerate(profiles):
+        if used == profile_cap:
+            raise EnumerationLimit(f"more than {profile_cap} profiles")
         system.add_row([*vec, -1], 0)  # w(S) - q = 0, homogeneous so always consistent
+        if system.rank == t + 1:
+            return False, None
     eq_rows = [r[: t + 1] for r in system.rows]
 
     vals = _homogeneity_solution(eq_rows, lambda: _maximal_losing_profiles(ri, profile_cap),
@@ -440,7 +454,15 @@ def _maximal_losing_profiles(ri: Representation, cap: int):
 
 
 def _verify_witness(ri: Representation, witness: Representation) -> None:
-    """Winning-set equality via reachable weight pairs, the witness scaled to integers."""
+    """Winning-set equality and homogeneity of the witness, scaled to integers.
+
+    The games agree iff no coalition wins in one and loses in the other.
+    For each reachable original weight a the table holds the least and the
+    greatest witness weight of a coalition weighing a, built by binary
+    splitting of each type's count, so it suffices that every a at or above
+    the original cut has its least witness weight at or above the witness
+    cut and every a below it has its greatest below.
+    """
     wi = witness.to_integer()
     table = ri.weight_types()
     orig_weights = [int(w) for w in table.weights]
@@ -450,21 +472,27 @@ def _verify_witness(ri: Representation, witness: Representation) -> None:
         seen.setdefault(int(w), int(x))
     per_type_witness = [seen[w] for w in orig_weights]
 
-    # enumerate joint reachable (orig weight, witness weight) combinations per
-    # type counts; equivalence must hold for every reachable pair
-    combos = {(0, 0)}
+    spans = {0: (0, 0)}  # reachable original weight -> (least, greatest) witness weight
     for wk, xk, ck in zip(orig_weights, per_type_witness, counts):
-        new = set()
-        for j in range(ck + 1):
-            dw, dx = wk * j, xk * j
-            for a, b in combos:
-                new.add((a + dw, b + dx))
-        combos = new
-        if len(combos) > 2_000_000:
-            raise EnumerationLimit("witness verification lattice too large")
+        chunk, left = 1, ck
+        while left:
+            take = min(chunk, left)
+            left -= take
+            chunk *= 2
+            dw, dx = wk * take, xk * take
+            new = dict(spans)
+            for a, (lo, hi) in spans.items():
+                lo, hi = lo + dx, hi + dx
+                cur = new.get(a + dw)
+                if cur is not None:
+                    lo, hi = min(lo, cur[0]), max(hi, cur[1])
+                new[a + dw] = (lo, hi)
+            spans = new
+            if len(spans) > 2_000_000:
+                raise EnumerationLimit("witness verification lattice too large")
     cut, witness_cut = min_winning_weight(ri), min_winning_weight(wi)
-    for a, b in combos:
-        if (a >= cut) != (b >= witness_cut):
+    for a, (lo, hi) in spans.items():
+        if (lo < witness_cut) if a >= cut else (hi >= witness_cut):
             raise IdentityViolation("homogeneity witness induces a different game")
     if not is_homogeneous_rep(wi):
         raise IdentityViolation("homogeneity witness is not homogeneous")

@@ -11,10 +11,10 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from nucleo.coalitions import ProfileCoalition
+from nucleo.coalitions import EnumerationLimit, ProfileCoalition, min_winning_weight
 from nucleo.exactlp import ExactLinearProgram, solve
 from nucleo.games import GameError, _to_fraction
-from nucleo.theory import DegenerateQuota, GapReport, IdentityViolation
+from nucleo.theory import DegenerateQuota, GapReport, IdentityViolation, is_homogeneous_rep
 
 
 def coalitions(n):
@@ -233,6 +233,30 @@ def reference_gap_report(rep, x_star):
     if l1 > bound:
         raise IdentityViolation("gap exceeds the weight-distance bound")
     return GapReport(l1_gap=l1, bound=bound, s_plus=s_plus, s_minus=s_minus, delta=delta)
+
+
+def reference_verify_witness(ri, witness):
+    """``theory._verify_witness`` as it was with a pair set: every reachable
+    (original weight, witness weight) pair, built type by type, must fall on
+    the same side of both cuts."""
+    wi = witness.to_integer()
+    table = ri.weight_types()
+    orig_weights = [int(w) for w in table.weights]
+    seen = {}
+    for w, x in zip(ri.original_weights, wi.original_weights):
+        seen.setdefault(int(w), int(x))
+    combos = {(0, 0)}
+    for wk, ck in zip(orig_weights, table.counts):
+        xk = seen[wk]
+        combos = {(a + wk * j, b + xk * j) for j in range(ck + 1) for a, b in combos}
+        if len(combos) > 2_000_000:
+            raise EnumerationLimit("witness verification lattice too large")
+    cut, witness_cut = min_winning_weight(ri), min_winning_weight(wi)
+    for a, b in combos:
+        if (a >= cut) != (b >= witness_cut):
+            raise IdentityViolation("homogeneity witness induces a different game")
+    if not is_homogeneous_rep(wi):
+        raise IdentityViolation("homogeneity witness is not homogeneous")
 
 
 def lex_leq(vec_a, vec_b):

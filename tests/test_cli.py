@@ -98,12 +98,20 @@ def test_solve_internal_error_exit_code(capsys, monkeypatch):
 def test_classify_unexpected_lp_status_exit_code(capsys, monkeypatch):
     # the homogeneity LP minimizes a sum of weights bounded below by 0, so it
     # cannot be unbounded; that status must not read as "no representation"
-    monkeypatch.setattr(nucleo.theory, "solve", lambda lp: LpSolution("unbounded"))
-    for game in ("8; 6 4 3 2", "50; 10*4 10*3 10*2"):
+    calls = []
+    monkeypatch.setattr(nucleo.theory, "solve",
+                        lambda lp: calls.append(lp) or LpSolution("unbounded"))
+    for game in ("8; 6 4 3 2", "6; 2*3 2*2"):
         code, out, err = run(capsys, "classify", game)
         assert code == 4
         assert out == ""
         assert err == "error: internal invariant failed: homogeneity LP returned unbounded\n"
+    # this game's equalities reach full rank, which answers before any LP
+    calls.clear()
+    code, out, err = run(capsys, "classify", "50; 10*4 10*3 10*2")
+    assert code == 0 and err == ""
+    assert "permits homogeneous representation: False" in out
+    assert calls == []
 
 
 def test_solve_lp_status_exit_codes(capsys, monkeypatch):
@@ -185,6 +193,14 @@ def test_classify_lists_witness(capsys):
     assert code == 0
     assert "permits homogeneous representation: True" in out
     assert "homogeneous witness: 3 ; 2 1 1 1" in out
+
+
+def test_classify_flagship_9000_answers(capsys):
+    # more than the default cap of minimal winning profiles, but the first
+    # four already settle that no homogeneous representation exists
+    code, out, err = run(capsys, "classify", "15000; 3000*4 3000*3 3000*2")
+    assert code == 0 and err == ""
+    assert "permits homogeneous representation: False" in out
 
 
 def test_replicate(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nucleo.coalitions import EnumerationLimit, minimal_winning_count_vectors
+from nucleo.exactlp import solve
 from nucleo.gameio import parse_game
 from nucleo.games import GameError, representation
 from nucleo.nucleolus import nucleolus
@@ -353,6 +354,15 @@ def test_permits_homogeneous_flagship_false():
     assert not ok and witness is None
 
 
+def test_permits_homogeneous_flagship_stops_at_full_rank():
+    # the first 4 of the 41,576 minimal winning profiles already give the
+    # equalities full rank t + 1 = 4, so the cap counts only those
+    rep = parse_game("1500; 300*4 300*3 300*2")
+    assert permits_homogeneous_rep(rep, profile_cap=4) == (False, None)
+    with pytest.raises(EnumerationLimit, match="more than 3 profiles"):
+        permits_homogeneous_rep(rep, profile_cap=3)
+
+
 def test_permits_homogeneous_dictator():
     ok, witness = permits_homogeneous_rep(representation(1, [1]))
     assert ok and witness.is_winning({0})
@@ -389,11 +399,16 @@ def test_verify_witness_checks_game_and_homogeneity():
         _verify_witness(representation(5, [4, 3, 2]), representation(F(5, 2), [2, F(3, 2), 1]))
 
 
-def test_permits_homogeneous_matches_brute_lp():
+def test_permits_homogeneous_matches_brute_lp(monkeypatch):
     # both answers, zero weights and half-integer quotas, against one LP over
-    # every minimal winning and maximal losing coalition
+    # every minimal winning and maximal losing coalition; a False answer
+    # comes either from equalities of full rank, before any LP, or from an
+    # infeasible LP, and both routes are taken
+    theory = importlib.import_module("nucleo.theory")
+    lp_calls = []
+    monkeypatch.setattr(theory, "solve", lambda lp: lp_calls.append(lp) or solve(lp))
     rng = random.Random(20261018)
-    answers = {True: 0, False: 0}
+    answers = {True: 0, "full rank": 0, "infeasible LP": 0}
     for _ in range(300):
         n = rng.randint(1, 8)
         ws = [rng.randint(0, 6) for _ in range(n)]
@@ -401,10 +416,52 @@ def test_permits_homogeneous_matches_brute_lp():
             ws[0] = 1
         q = F(rng.randint(1, 2 * sum(ws)), 2)
         rep = representation(q, ws)
+        lp_calls.clear()
         ok, _ = permits_homogeneous_rep(rep)
         assert ok == oracles.brute_permits_homogeneous(rep), (q, ws)
-        answers[ok] += 1
-    assert min(answers.values()) >= 30
+        answers[True if ok else "infeasible LP" if lp_calls else "full rank"] += 1
+    assert answers[True] >= 30 and answers["full rank"] + answers["infeasible LP"] >= 30
+    assert answers["full rank"] >= 5 and answers["infeasible LP"] >= 5
+
+
+def _verify_outcome(verify, ri, witness):
+    try:
+        verify(ri, witness)
+    except (IdentityViolation, EnumerationLimit) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_verify_witness_matches_pair_set_reference():
+    # random games against witnesses of the same game and witnesses with
+    # other weights per type or another quota, which mostly induce a
+    # different game; zero weights on either side
+    rng = random.Random(20261021)
+    outcomes = {None: 0, "homogeneity witness induces a different game": 0,
+                "homogeneity witness is not homogeneous": 0}
+    for _ in range(400):
+        types = rng.sample(range(0, 9), rng.randint(1, 4))
+        if max(types) == 0:
+            types.append(1)
+        ws = [w for w in types for _ in range(rng.randint(1, 6))]
+        ri = _integer_form(representation(F(rng.randint(1, 2 * sum(ws)), 2), ws))
+        ok, witness = permits_homogeneous_rep(ri)
+        per_type = {w: rng.randint(0, 5) for w in types}
+        if sum(per_type[w] for w in ws) == 0:
+            per_type[ws[0]] = 1
+        wrong = [per_type[w] for w in ws]
+        witnesses = [representation(rng.randint(1, sum(wrong)), wrong)]
+        if ok:
+            witnesses.append(witness)
+            if witness.quota + 1 <= witness.total_weight:
+                witnesses.append(representation(witness.quota + 1, witness.original_weights))
+        for wit in witnesses:
+            got = _verify_outcome(_verify_witness, ri, wit)
+            assert got == _verify_outcome(oracles.reference_verify_witness, ri, wit), (ri, wit)
+            outcomes[got[1] if got else None] += 1
+    assert outcomes[None] >= 30
+    assert outcomes["homogeneity witness induces a different game"] >= 100
+    assert outcomes["homogeneity witness is not homogeneous"] >= 5
 
 
 def _cyclic_garbage(call):
