@@ -8,10 +8,15 @@ hull that the solver has fixed so far.  When the count lattice is no larger
 than the DP tables, one pass over it (``_scan_min_cost``, the only lattice
 scan) gives the answer.  Otherwise a bounded-knapsack dynamic program over
 integer total weight hands out candidates in ascending (cost, counts) order
-until one is movable: the suffix tables of the free items are built once
-per call, and a rejected candidate's box is partitioned into sub-boxes,
-each a fixed prefix, one restricted item and free items after it, so a
-sub-box costs one new DP layer and a one-pass reconstruction.
+until one is movable: a rejected candidate's box is partitioned into
+sub-boxes, each a fixed prefix, one restricted item and free items after
+it, so a sub-box costs one new DP layer and a one-pass reconstruction.
+A box is a knapsack with one weight row, so by the proximity theorem of
+Eisenbrand and Weismantel its answer lies within 2*max(weights) + 1 of its
+LP vertex in every count.  Where a count exceeds that reach, each box is
+clamped to it; where none does, the whole weight range is already as small.
+Either way a DP table holds at most sum(weights)*(4*max(weights) + 2) + 1
+cells, whatever the counts (``min_cost_selection``).
 Over winning coalitions the maximum excess is 1 minus the cost of a
 cheapest winning selection, and over losing ones minus the cost of a
 cheapest losing one.
@@ -28,6 +33,7 @@ What an item is belongs to the caller: the solver's ``_ItemSpace`` (in
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import deque
@@ -287,15 +293,17 @@ _MAX_POPS = 400  # rejected candidates before min_cost_selection stalls
 
 
 def _convolve(old: list, omega: int, lo: int, hi: int, cost: int, top: int) -> list:
-    """new[w] = min over j in [lo, hi] of (j*cost + old[w - j*omega])."""
+    """new[w] = min over j in [lo, hi] of (j*cost + old[w - j*omega]), for w <= top;
+    cells past the end of ``old`` are infinite, so ``old`` may be shorter."""
     new: list = [_INF] * (top + 1)
+    size = len(old)
     for r in range(min(omega, top + 1)):
-        positions = range(r, top + 1, omega)
-        count = len(positions)
+        count = len(range(r, top + 1, omega))
+        avail = len(range(r, size, omega))
         dq: deque = deque()  # (m, old[r+m*omega] - m*cost), increasing values
         for i in range(count):
             m_enter = i - lo
-            if 0 <= m_enter < count:
+            if 0 <= m_enter < avail:
                 val = old[r + m_enter * omega]
                 if val is not _INF:
                     g = val - m_enter * cost
@@ -310,18 +318,26 @@ def _convolve(old: list, omega: int, lo: int, hi: int, cost: int, top: int) -> l
     return new
 
 
-def _suffix_tables(weights: Sequence[int], counts: Sequence[int], costs: Sequence[int],
-                   whi: int) -> list[list]:
-    """tables[k][w] is the cheapest cost of items k..t-1, each taken between
-    zero and its count, with total weight exactly w <= whi.  Every box of the
-    partition search frees all the items after its own, so it reads these;
-    tables[0] is never read and left empty."""
+def _suffix_tables(cache: dict, weights: Sequence[int], counts: Sequence[int],
+                   costs: Sequence[int], whi: int, k: int = 0) -> list:
+    """tables[m], for m > k, is the cheapest cost of items m..t-1, each taken
+    between zero and its count, with total weight exactly w, for w up to whi
+    or the items' full weight, whichever is smaller; tables[m] for m <= k is
+    never read and left None.  Every box of the partition search frees all
+    the items after its own, so it reads these.  Each table is kept in
+    ``cache`` under counts[m:], so the boxes of one call share the tables of
+    equal suffixes."""
     t = len(weights)
-    tables: list[list] = [[] for _ in range(t + 1)]
-    tables[t] = [_INF] * (whi + 1)
-    tables[t][0] = 0
-    for k in range(t - 1, 0, -1):
-        tables[k] = _convolve(tables[k + 1], weights[k], 0, counts[k], costs[k], whi)
+    tables: list = [None] * (t + 1)
+    tables[t] = [0]
+    for m in range(t - 1, k, -1):
+        key = tuple(counts[m:])
+        table = cache.get(key)
+        if table is None:
+            old = tables[m + 1]
+            table = cache[key] = _convolve(old, weights[m], 0, counts[m], costs[m],
+                                           min(whi, len(old) - 1 + counts[m] * weights[m]))
+        tables[m] = table
     return tables
 
 
@@ -362,12 +378,13 @@ def _box_min_cost(tables: list[list], weights: Sequence[int], counts: Sequence[i
     vector.  Returns (cost, counts) or None.
 
     The fixed prefix is a weight and cost offset; the free items after the
-    next one are ``tables``, so the box costs one new DP layer.
+    next one are ``tables``, so the box costs one new DP layer, no longer
+    than the heaviest selection the box holds.
     """
     k = len(prefix)
     acc_w = sum(j * w for j, w in zip(prefix, weights))
     acc_c = sum(j * c for j, c in zip(prefix, costs))
-    top = whi - acc_w
+    top = min(whi - acc_w, hi * weights[k] + len(tables[k + 1]) - 1)
     layer = _convolve(tables[k + 1], weights[k], lo, hi, costs[k], top)
     best = _INF
     for w in range(max(wlo - acc_w, 0), top + 1):
@@ -390,6 +407,83 @@ def _box_min_cost(tables: list[list], weights: Sequence[int], counts: Sequence[i
         acc_w += j * weights[m]
         acc_c += j * costs[m]
     return best, tuple(prof)
+
+
+def _clamped_ranges(weights: Sequence[int], costs: Sequence[int],
+                    ranges: list[tuple[int, int]], lo_w: int, hi_w: int, reach: int):
+    """The count ranges of the last ``len(ranges)`` items, each cut to the
+    integers within ``reach`` of its coordinate at a vertex of the box's LP
+    relaxation (total weight in [lo_w, hi_w]); None if the relaxation is
+    infeasible, for then so is the box.
+
+    The vertex is optimal for the perturbed cost c_m*M + P**(t-1-m) (P above
+    every count and every weight, M above the perturbation's whole range),
+    whose unique integer optimum is the box's answer: the lexicographically
+    smallest cheapest count vector.  It is the fractional-knapsack greedy,
+    in exact integer arithmetic: every item starts at its upper end if its
+    cost is negative, else at its lower end; then, while the weight is below
+    lo_w, the items at their lower ends fill in order of cost per weight,
+    ratio ties to the later item, and while it is above hi_w, the
+    negative-cost items empty in order of falling cost per weight, ratio
+    ties to the earlier item.  One item at most stops between its ends.
+    """
+    k = len(weights) - len(ranges)
+    free = [(weights[m], costs[m], lo, hi) for m, (lo, hi) in enumerate(ranges, k)]
+    floor = [hi if c < 0 else lo for _, c, lo, hi in free]
+    ceil = list(floor)
+    total = sum(j * w for j, (w, _, _, _) in zip(floor, free))
+    gap, fill, order = 0, True, []
+    if total < lo_w:
+        gap = lo_w - total
+        order = sorted((i for i, (_, c, _, _) in enumerate(free) if c >= 0),
+                       key=lambda i: (Fraction(free[i][1], free[i][0]), -i))
+    elif total > hi_w:
+        gap, fill = total - hi_w, False
+        order = sorted((i for i, (_, c, _, _) in enumerate(free) if c < 0),
+                       key=lambda i: (-Fraction(free[i][1], free[i][0]), i))
+    for i in order:
+        if gap == 0:
+            break
+        w, _, lo, hi = free[i]
+        if (hi - lo) * w < gap:
+            floor[i] = ceil[i] = hi if fill else lo
+            gap -= (hi - lo) * w
+            continue
+        whole, part = divmod(gap, w)
+        if fill:
+            floor[i], ceil[i] = lo + whole, lo + whole + (part > 0)
+        else:
+            floor[i], ceil[i] = hi - whole - (part > 0), hi - whole
+        gap = 0
+    if gap > 0:
+        return None
+    return [(max(lo, c - reach), min(hi, f + reach))
+            for (_, _, lo, hi), f, c in zip(free, floor, ceil)]
+
+
+def _clamped_box_min_cost(cache: dict, reach: int, weights: Sequence[int],
+                          counts: Sequence[int], costs: Sequence[int],
+                          prefix: tuple[int, ...], lo: int, hi: int, wlo: int, whi: int):
+    """``_box_min_cost`` on a box whose count ranges are first clamped to
+    ``reach`` around its LP vertex (``_clamped_ranges``) and shifted to start
+    at zero; the tables for the clamped free items come from ``cache``."""
+    k = len(prefix)
+    acc_w = sum(j * w for j, w in zip(prefix, weights))
+    ranges = [(lo, hi)] + [(0, c) for c in counts[k + 1:]]
+    clamped = _clamped_ranges(weights, costs, ranges, wlo - acc_w, whi - acc_w, reach)
+    if clamped is None:
+        return None
+    lows = [a for a, _ in clamped]
+    widths = list(counts[:k]) + [b - a for a, b in clamped]
+    shift_w = sum(a * w for a, w in zip(lows, weights[k:]))
+    shift_c = sum(a * c for a, c in zip(lows, costs[k:]))
+    tables = _suffix_tables(cache, weights, widths, costs, whi, k)
+    found = _box_min_cost(tables, weights, widths, costs, prefix, 0, widths[k],
+                          wlo - shift_w, whi - shift_w)
+    if found is None:
+        return None
+    cost, prof = found
+    return cost + shift_c, prefix + tuple(j + a for j, a in zip(prof[k:], lows))
 
 
 def _movable(vec: Sequence[int], kernel: list[list[int]]) -> bool:
@@ -421,12 +515,24 @@ def _heap_min_cost(weights: Sequence[int], counts: Sequence[int], costs: Sequenc
     A box is a fixed prefix, a count range [lo, hi] for the next item k and
     free later items.  Partitioning a box around its rejected (unmovable)
     candidate gives, for each m >= k, boxes of the same shape with item m
-    next, so every box reads the one set of suffix tables.  Raises
-    ``OracleStall`` after ``_MAX_POPS`` rejected candidates.
+    next.  Raises ``OracleStall`` after ``_MAX_POPS`` rejected candidates.
+
+    Each box's answer lies within reach = 2*max(weights) + 1 of its LP
+    vertex in every count (the proximity theorem, ``min_cost_selection``).
+    When no count exceeds the reach, no range can shrink, so every box reads
+    one set of suffix tables over the weights up to whi.  Otherwise each box
+    is clamped around its own vertex, for the first movable candidate can
+    lie far from the root's, and reads small tables for its clamped free
+    items, shared by the boxes whose clamped widths agree.
     """
-    tables = _suffix_tables(weights, counts, costs, whi)
+    reach = 2 * max(weights) + 1
+    if max(counts) <= reach:
+        box = functools.partial(_box_min_cost, _suffix_tables({}, weights, counts, costs, whi),
+                                weights, counts, costs)
+    else:
+        box = functools.partial(_clamped_box_min_cost, {}, reach, weights, counts, costs)
     heap = []
-    root = _box_min_cost(tables, weights, counts, costs, (), 0, counts[0], wlo, whi)
+    root = box((), 0, counts[0], wlo, whi)
     if root is not None:
         heap.append((root[0], root[1], 0, 0, counts[0]))
     pops = 0
@@ -443,8 +549,7 @@ def _heap_min_cost(weights: Sequence[int], counts: Sequence[int], costs: Sequenc
             for new_lo, new_hi in ((lo_m, prof[m] - 1), (prof[m] + 1, hi_m)):
                 if new_lo > new_hi:
                     continue
-                sub = _box_min_cost(tables, weights, counts, costs, prof[:m],
-                                    new_lo, new_hi, wlo, whi)
+                sub = box(prof[:m], new_lo, new_hi, wlo, whi)
                 if sub is not None:
                     heapq.heappush(heap, (sub[0], sub[1], m, new_lo, new_hi))
     return None
@@ -494,11 +599,31 @@ def min_cost_selection(weights: Sequence[int], counts: Sequence[int], costs: Seq
 
     When the count lattice, prod(counts[k] + 1), is no larger than the
     t * (whi + 1) entries of the DP tables, one pass over it gives the
-    answer.  Otherwise the knapsack DP over total weight builds the suffix
-    tables once, hands out candidates in ascending (cost, counts) order and
-    partitions each rejected candidate's box into sub-boxes that cost one
-    new DP layer each; only this path raises ``OracleStall``, after
-    ``_MAX_POPS`` rejected candidates.
+    answer.  Otherwise the knapsack DP over total weight hands out
+    candidates in ascending (cost, counts) order and partitions each
+    rejected candidate's box into sub-boxes that cost one new DP layer
+    each; only this path raises ``OracleStall``, after ``_MAX_POPS``
+    rejected candidates.
+
+    Each box's answer is found on a box clamped around the vertex of its LP
+    relaxation.  With the window written as w.j - s = wlo, 0 <= s <= whi -
+    wlo, and the counts shifted to start at zero, a box is the integer
+    program min{c.x : Ax = b, 0 <= x <= u, x integral} with one row whose
+    entries are at most D = max(weights) in absolute value.  The proximity
+    theorem of Eisenbrand and Weismantel ("Proximity results and faster
+    algorithms for integer programming using the Steinitz lemma", SODA 2018;
+    ACM Trans. Algorithms 16(1), 2020) states, for A with m rows, that if
+    the program is feasible, then for every optimal vertex x* of its LP
+    relaxation some optimal integer solution z* has
+    ||x* - z*||_1 <= m(2mD + 1)^m; here that is 2D + 1.  Under the perturbed
+    cost c_k*M + P**(t-1-k) (``_clamped_ranges``) the optimal integer
+    solution is unique and is the box's answer, so clamping each count range
+    to [ceil(x*_k) - (2D+1), floor(x*_k) + (2D+1)] keeps it (Cook, Gerards,
+    Schrijver and Tardos, Math. Programming 34, 1986, for the first bounds
+    of this kind).  A clamped range holds at most 4D + 3 counts, so a
+    clamped table has at most sum(weights)*(4D + 2) + 1 cells.  When no
+    count exceeds 2D + 1, no range can shrink: the boxes then share one set
+    of suffix tables over the weights up to whi (``_heap_min_cost``).
     """
     counts = [int(c) for c in counts]
     t = len(weights)

@@ -11,6 +11,7 @@ coalition uses the caller's original player order (0-based indices).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,27 +234,50 @@ def representation(quota, weights: Sequence) -> Representation:
     ``QuotaExceedsTotalWeight`` on bad input; otherwise the weights are
     sorted descending (stable, so equal-weight players keep their relative
     input order) and the permutation back to the input order is recorded.
+
+    Each distinct weight object is converted once and each distinct value
+    is summed and checked once, so a game given as runs of one weight costs
+    one dictionary lookup per player.  The weight-type table is built here
+    from the same groups.
     """
-    ws = [_to_fraction(w) for w in weights]
-    if not ws:
+    # players by weight object, keyed by identity and holding the object so
+    # that its id stays its own; a value key would be wrong, for 0.1 equals
+    # its exact Fraction but converts to 1/10
+    by_object: dict[int, tuple[object, list[int]]] = {}
+    for i, w in enumerate(weights):
+        slot = by_object.get(id(w))
+        if slot is None:
+            slot = by_object[id(w)] = (w, [])
+        slot[1].append(i)
+    distinct = [(_to_fraction(w), players) for w, players in by_object.values()]
+    if not distinct:
         raise EmptyPlayerSet("a game needs at least one player")
     q = _to_fraction(quota)
-    for w in ws:
+    for w, _ in distinct:  # in order of first appearance
         if w < 0:
             raise NegativeWeight(f"negative weight {w}")
     if q <= 0:
         raise NonPositiveQuota(f"quota must be positive, got {q}")
-    total = sum(ws, Fraction(0))
+    by_value: dict[Fraction, list[list[int]]] = {}
+    for w, players in distinct:
+        by_value.setdefault(w, []).append(players)
+    total = sum((w * sum(map(len, groups)) for w, groups in by_value.items()), Fraction(0))
     if q > total:
         raise QuotaExceedsTotalWeight(
             f"quota {q} exceeds total weight {total}; no winning coalition exists"
         )
-    order = sorted(range(len(ws)), key=lambda i: (-ws[i], i))
-    return Representation(
-        quota=q,
-        weights=tuple(ws[i] for i in order),
-        input_order=tuple(order),
-    )
+    order: list[int] = []
+    sorted_weights: list[Fraction] = []
+    entries = []
+    for w in sorted(by_value, reverse=True):
+        groups = by_value[w]
+        players = groups[0] if len(groups) == 1 else sorted(itertools.chain(*groups))
+        order += players
+        sorted_weights += [w] * len(players)
+        entries.append((w, len(players)))
+    rep = Representation(quota=q, weights=tuple(sorted_weights), input_order=tuple(order))
+    object.__setattr__(rep, "_weight_types_cache", WeightTypeTable(entries=tuple(entries)))
+    return rep
 
 
 def validate(rep: Representation) -> Representation:

@@ -5,15 +5,34 @@ separate from the library's knapsack/bitset/LP machinery, so each check has
 two genuinely different routes to the same value.  The one exception is
 ``brute_permits_homogeneous``, which needs an LP: it writes one row per
 coalition and hands the whole system to ``feasible``, a phase-1 solve.
+
+The ``reference_*`` routines, ``unclamped_box_min_cost`` and
+``ReferenceEchelonSystem`` are earlier versions of library code, kept as
+regression references for the versions that replaced them.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from nucleo.coalitions import EnumerationLimit, ProfileCoalition, min_winning_weight
+from nucleo.coalitions import (
+    EnumerationLimit,
+    OracleInvariantError,
+    ProfileCoalition,
+    _convolve,
+    _smallest_count,
+    min_winning_weight,
+)
 from nucleo.exactlp import ExactLinearProgram, solve
-from nucleo.games import GameError, _to_fraction
+from nucleo.games import (
+    EmptyPlayerSet,
+    GameError,
+    NegativeWeight,
+    NonPositiveQuota,
+    QuotaExceedsTotalWeight,
+    Representation,
+    _to_fraction,
+)
 from nucleo.theory import DegenerateQuota, GapReport, IdentityViolation, is_homogeneous_rep
 
 
@@ -257,6 +276,64 @@ def reference_verify_witness(ri, witness):
             raise IdentityViolation("homogeneity witness induces a different game")
     if not is_homogeneous_rep(wi):
         raise IdentityViolation("homogeneity witness is not homogeneous")
+
+
+def reference_representation(quota, weights):
+    """``games.representation`` as it was with one ``Fraction`` per player:
+    convert every weight, check each, sum them all and sort the players by
+    (-weight, index)."""
+    ws = [_to_fraction(w) for w in weights]
+    if not ws:
+        raise EmptyPlayerSet("a game needs at least one player")
+    q = _to_fraction(quota)
+    for w in ws:
+        if w < 0:
+            raise NegativeWeight(f"negative weight {w}")
+    if q <= 0:
+        raise NonPositiveQuota(f"quota must be positive, got {q}")
+    total = sum(ws, Fraction(0))
+    if q > total:
+        raise QuotaExceedsTotalWeight(
+            f"quota {q} exceeds total weight {total}; no winning coalition exists"
+        )
+    order = sorted(range(len(ws)), key=lambda i: (-ws[i], i))
+    return Representation(
+        quota=q,
+        weights=tuple(ws[i] for i in order),
+        input_order=tuple(order),
+    )
+
+
+def unclamped_box_min_cost(weights, counts, costs, prefix, lo, hi, wlo, whi):
+    """One box of the partition search as it was before its count ranges
+    were clamped: the suffix tables over every weight up to ``whi``, one DP
+    layer over the whole range [lo, hi] and the one-pass reconstruction."""
+    t = len(weights)
+    tables = [None] * (t + 1)
+    tables[t] = [None] * (whi + 1)
+    tables[t][0] = 0
+    for m in range(t - 1, 0, -1):
+        tables[m] = _convolve(tables[m + 1], weights[m], 0, counts[m], costs[m], whi)
+    k = len(prefix)
+    acc_w = sum(j * w for j, w in zip(prefix, weights))
+    acc_c = sum(j * c for j, c in zip(prefix, costs))
+    top = whi - acc_w
+    layer = _convolve(tables[k + 1], weights[k], lo, hi, costs[k], top)
+    finite = [layer[w] for w in range(max(wlo - acc_w, 0), top + 1) if layer[w] is not None]
+    if not finite:
+        return None
+    best = min(finite) + acc_c
+    prof = list(prefix)
+    for m in range(k, len(weights)):
+        lo_m, hi_m = (lo, hi) if m == k else (0, counts[m])
+        j = _smallest_count(tables[m + 1], weights[m], costs[m], lo_m, hi_m,
+                            best - acc_c, wlo - acc_w, whi - acc_w)
+        if j is None:
+            raise OracleInvariantError(f"no count of item {m} completes the cheapest cost {best}")
+        prof.append(j)
+        acc_w += j * weights[m]
+        acc_c += j * costs[m]
+    return best, tuple(prof)
 
 
 def lex_leq(vec_a, vec_b):

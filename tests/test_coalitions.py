@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,6 +16,8 @@ from nucleo.coalitions import (
     OracleStall,
     ProfileCoalition,
     _box_min_cost,
+    _clamped_box_min_cost,
+    _clamped_ranges,
     _heap_min_cost,
     _scan_min_cost,
     _suffix_tables,
@@ -23,6 +27,7 @@ from nucleo.coalitions import (
     ordered_excess_vector,
     reachable_weights,
 )
+from nucleo.exactlp import ExactLinearProgram, LinearConstraint, solve
 from nucleo.gameio import parse_game
 from nucleo.games import GameError, representation
 from nucleo.nucleolus import _ItemSpace
@@ -402,10 +407,185 @@ def test_min_cost_selection_scans_when_the_lattice_is_smaller(monkeypatch):
 
 
 def test_reconstruction_failure_is_an_invariant_error():
+    # the shared tables, where no count exceeds 2 * max(weights) + 1
     weights, counts, costs = [2, 3], [1, 1], [5, 7]
-    tables = _suffix_tables(weights, counts, costs, 5)
+    tables = _suffix_tables({}, weights, counts, costs, 5)
     assert _box_min_cost(tables, weights, counts, costs, (), 0, 1, 3, 5) == (7, (0, 1))
     tables[1][3] = 1  # cheaper than any selection of weight 3
     with pytest.raises(OracleInvariantError):
         _box_min_cost(tables, weights, counts, costs, (), 0, 1, 3, 5)
+    # a clamped box (counts 20 > 7), whose tables live in its cache
+    weights, counts, costs = [2, 3], [20, 20], [5, 7]
+    box = ((), 0, 20, 30, 33)
+    cache = {}
+    want = oracles.unclamped_box_min_cost(weights, counts, costs, *box)
+    assert _clamped_box_min_cost(cache, 7, weights, counts, costs, *box) == want == (70, (0, 10))
+    assert cache
+    for table in cache.values():  # every suffix 1 cheaper than it can be
+        table[:] = [v if v is None else v - 1 for v in table]
+    with pytest.raises(OracleInvariantError, match="no count of item 1 completes"):
+        _clamped_box_min_cost(cache, 7, weights, counts, costs, *box)
     assert not issubclass(OracleInvariantError, OracleStall)
+
+
+# -- clamped boxes and the partition search over them ---------------------------
+
+
+def clamped_box(weights, counts, costs, prefix, lo, hi, wlo, whi):
+    return _clamped_box_min_cost({}, 2 * max(weights) + 1, weights, counts, costs,
+                                 prefix, lo, hi, wlo, whi)
+
+
+def scan_box(weights, counts, costs, prefix, lo, hi, wlo, whi):
+    """A box answered by ``_scan_min_cost`` over its free items, shifted to
+    start at the box's lowest corner.  The all-ones kernel leaves only that
+    corner unmovable; as the lexicographically smallest vector it is the
+    answer when it is in the window and no selection is cheaper."""
+    k = len(prefix)
+    corner = tuple(prefix) + (lo,) + (0,) * (len(weights) - k - 1)
+    cw = sum(j * w for j, w in zip(corner, weights))
+    cc = sum(j * c for j, c in zip(corner, costs))
+    found = [(cc, corner)] if wlo <= cw <= whi else []
+    free = [hi - lo] + list(counts[k + 1:])
+    got = _scan_min_cost(weights[k:], free, costs[k:], wlo - cw, whi - cw, [[1] * len(free)])
+    if got is not None:
+        found.append((got[0] + cc,
+                      corner[:k] + tuple(a + j for a, j in zip(corner[k:], got[1]))))
+    return min(found, default=None)
+
+
+def random_box(rng, top_weight, top_count):
+    t = rng.randint(1, 4)
+    weights = [rng.randint(1, top_weight) for _ in range(t)]
+    counts = [rng.choice((1, 3, top_count // 4, top_count)) for _ in range(t)]
+    costs = [rng.choice((0, 0, rng.randint(1, 9), -rng.randint(1, 9), rng.randint(-40, 40)))
+             for _ in range(t)]
+    total = sum(w * c for w, c in zip(weights, counts))
+    wlo = 0 if rng.random() < 0.3 else rng.randint(0, total)
+    whi = rng.randint(wlo, total) if rng.random() < 0.6 else total
+    k = rng.randint(0, t - 1)
+    prefix = tuple(rng.randint(0, c) for c in counts[:k])
+    lo = rng.randint(0, counts[k])
+    return weights, counts, costs, prefix, lo, rng.randint(lo, counts[k]), wlo, whi
+
+
+def test_clamp_centres_on_the_vertex_of_the_perturbed_lp():
+    # with reach 0 the clamp is (ceil, floor) of each vertex coordinate; the
+    # exact simplex solves the relaxation under the perturbed cost
+    # c*M + P**(t-1-m), whose per-weight ratios are all distinct, so its
+    # optimum is the one vertex
+    rng = random.Random(1707)
+    vertices = infeasible = fractional = 0
+    for _ in range(300):
+        weights, counts, costs, prefix, lo, hi, wlo, whi = random_box(rng, 5, 30)
+        k = len(prefix)
+        ranges = [(lo, hi)] + [(0, c) for c in counts[k + 1:]]
+        acc_w = sum(j * w for j, w in zip(prefix, weights))
+        got = _clamped_ranges(weights, costs, ranges, wlo - acc_w, whi - acc_w, 0)
+        free = len(ranges)
+        p = max(max(counts), max(weights)) + 1
+        big = 2 * max(weights) ** 2 * p ** len(weights)
+        lp = ExactLinearProgram(
+            num_vars=free,
+            objective=tuple(c * big + p ** (len(weights) - 1 - m)
+                            for m, c in enumerate(costs) if m >= k),
+            constraints=[LinearConstraint(tuple(weights[k:]), ">=", wlo - acc_w),
+                         LinearConstraint(tuple(weights[k:]), "<=", whi - acc_w)],
+            lower_bounds=tuple(a for a, _ in ranges),
+            upper_bounds=tuple(b for _, b in ranges))
+        sol = solve(lp)
+        if sol.status == "infeasible":
+            assert got is None
+            infeasible += 1
+            continue
+        assert got == [(math.ceil(v), math.floor(v)) for v in sol.values]
+        vertices += 1
+        fractional += any(v.denominator > 1 for v in sol.values)
+    assert vertices >= 150 and infeasible >= 40 and fractional >= 50
+
+
+def test_clamped_box_matches_the_unclamped_box():
+    # counts up to 300 against a reach of at most 2 * 7 + 1, fixed prefixes,
+    # sub-ranges of the next item, zero and negative costs, random windows
+    rng = random.Random(2018)
+    answers = empty = 0
+    for _ in range(700):
+        box = random_box(rng, 7, 300)
+        want = oracles.unclamped_box_min_cost(*box)
+        assert clamped_box(*box) == want
+        answers += want is not None
+        empty += want is None
+    assert answers >= 400 and empty >= 100
+
+
+def test_clamped_box_matches_the_lattice_scan():
+    rng = random.Random(1986)
+    answers = empty = 0
+    while answers < 300:
+        weights, counts, costs, prefix, lo, hi, wlo, whi = box = random_box(rng, 4, 60)
+        k = len(prefix)
+        if (hi - lo + 1) * math.prod(c + 1 for c in counts[k + 1:]) > 4000:
+            continue
+        want = scan_box(*box)
+        assert clamped_box(*box) == want
+        answers += want is not None
+        empty += want is None
+    assert empty >= 50
+
+
+def test_heap_min_cost_matches_brute_minimum_on_clamped_boxes():
+    # every instance has a count above 2 * max(weights) + 1, so its boxes are
+    # clamped; a kernel vector on one or two items leaves many cheap vectors
+    # unmovable, so answers come from sub-boxes far from the root's vertex
+    rng = random.Random(2020)
+    rejected = 0
+    for _ in range(250):
+        t = rng.randint(2, 3)
+        weights = [rng.randint(1, 3) for _ in range(t)]
+        counts = [rng.randint(1, 16) for _ in range(t)]
+        counts[rng.randrange(t)] = rng.randint(2 * max(weights) + 2, 16)
+        costs = [rng.choice((0, rng.randint(1, 5), -rng.randint(1, 5), rng.randint(-30, 30)))
+                 for _ in range(t)]
+        total = sum(w * c for w, c in zip(weights, counts))
+        wlo = rng.randint(0, total)
+        whi = rng.randint(wlo, total)
+        kernel = [[0] * t]
+        for _ in range(rng.randint(1, 2)):
+            kernel[0][rng.randrange(t)] = rng.choice((1, -1, 2))
+        want = brute_min_cost(weights, counts, costs, wlo, whi, kernel)
+        assert _heap_min_cost(weights, counts, costs, wlo, whi, kernel) == want
+        cheapest = min(((sum(j * c for j, c in zip(vec, costs)), vec)
+                        for vec in in_window(weights, counts, wlo, whi)), default=None)
+        rejected += want is not None and want != cheapest
+    assert rejected >= 40
+
+
+def test_flagship_oracle_tables_are_clamped(monkeypatch):
+    # the 9000-player flagship: the same 8 selections and 12 heap pops as
+    # with tables over every weight up to 27,000, whose largest convolution
+    # built 27,001 cells; a clamped one holds at most
+    # sum(weights) * (4 * 4 + 2) + 1 = 163
+    nuc = importlib.import_module("nucleo.nucleolus")  # the module, not the function
+    real_convolve, real_select = coalitions._convolve, nuc.min_cost_selection
+    real_movable = coalitions._movable
+    cells, tally = [], {"select": 0, "pops": 0}
+
+    def convolve(old, omega, lo, hi, cost, top):
+        cells.append(top + 1)
+        return real_convolve(old, omega, lo, hi, cost, top)
+
+    def select(*args):
+        tally["select"] += 1
+        return real_select(*args)
+
+    def movable(*args):
+        tally["pops"] += 1
+        return real_movable(*args)
+
+    monkeypatch.setattr(coalitions, "_convolve", convolve)
+    monkeypatch.setattr(coalitions, "_movable", movable)
+    monkeypatch.setattr(nuc, "min_cost_selection", select)
+    result = nuc.nucleolus(parse_game("15000; 3000*4 3000*3 3000*2"), engine="typed")
+    assert result.x_star[0] == F(1, 6750)
+    assert tally == {"select": 8, "pops": 12}
+    assert cells and max(cells) <= 163

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -54,6 +55,42 @@ def test_sorting_records_input_permutation():
     # round trip through both orders is the identity
     marked = tuple(range(rep.n))
     assert rep.to_input_order(rep.to_sorted_order(marked)) == marked
+
+
+def as_outcome(make, quota, weights):
+    try:
+        rep = make(quota, weights)
+    except (GameError, ValueError) as exc:
+        return type(exc), str(exc)
+    table = rep.weight_types()
+    return rep, table.entries, [type(w) for w in rep.weights]
+
+
+def test_representation_matches_the_per_player_reference():
+    # one conversion per distinct weight object: lists mixing int, Fraction,
+    # float and str weights, repeated by value and by shared object, give the
+    # reference's representation, weight-type table and first error.  0.1
+    # and Fraction(0.1) are equal but convert to 1/10 and to the exact binary
+    # value, so a cache by value would merge them.
+    rng = random.Random(2305)
+    values = [0, 1, 2, 3, -1, F(1, 2), F(-1, 3), F(7, 3), 0.1, F(0.1), 0.5, 2.0, -0.25,
+              "1/2", "3", "0.1", "2.5", "-1", "x"]
+    kinds = set()
+    for _ in range(3000):
+        shared = [rng.choice(values) for _ in range(rng.randint(1, 3))]
+        weights = []
+        for _ in range(rng.randint(0, 5)):
+            w = rng.choice(shared) if rng.random() < 0.6 else rng.choice(values)
+            weights += [w] * rng.choice((1, 1, 3))
+        if rng.random() < 0.3:  # equal values as distinct objects
+            weights += [F(w) for w in weights if isinstance(w, F)]
+        rng.shuffle(weights)
+        quota = rng.choice((1, 2, F(7, 2), 0, 40, 0.5, "3"))
+        want = as_outcome(oracles.reference_representation, quota, weights)
+        assert as_outcome(representation, quota, weights) == want
+        kinds.add(want[0] if isinstance(want[0], type) else "ok")
+    assert kinds == {"ok", EmptyPlayerSet, NegativeWeight, NonPositiveQuota,
+                     QuotaExceedsTotalWeight, ValueError}
 
 
 def test_is_winning_boundary_is_weak_inequality():
